@@ -6,8 +6,8 @@ Reads the ``speedup_vs_baseline_normalized`` section that
 its own ``calibration_ops_per_second`` before the ratio, so the
 runner's raw speed cancels out) and exits non-zero when the requested
 stage falls under ``--min-normalized``.  The perf-smoke job uses it to
-pin the analyzer line of ``BENCH_substrate.json`` at its pre-IR value:
-the IR evaluator may only ever move that number up.
+pin the analyzer line of ``BENCH_substrate.json`` at a fixed floor
+(2.29x): no change may move that number below it.
 
 Stdlib only; run from the repo root::
 

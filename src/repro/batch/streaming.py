@@ -7,7 +7,7 @@ million-LOC corpora.  :func:`stream_scan` removes all three:
 
 - **corpus**: plugins are consumed from an *iterator* (lazily
   generated or loaded), at most one alive at a time;
-- **artifacts**: the parse/IR/summary cache is byte-capped
+- **artifacts**: the parse/summary cache is byte-capped
   (``max_cache_bytes``) and each plugin's file models are eagerly
   spilled the moment its analysis completes — huge models never wait
   for LRU pressure; token lists are dropped at parse time

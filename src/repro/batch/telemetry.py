@@ -4,7 +4,7 @@ Each batch run aggregates one :class:`PluginScanStats` per plugin
 (wall time, size, findings, cache counters, outcome) plus run-level
 incidents (worker restarts, deadline timeouts, crashes) into a
 :class:`ScanTelemetry` that serializes to a stable JSON schema
-(``schema`` key: ``repro.batch.telemetry/v5``) for CI dashboards and
+(``schema`` key: ``repro.batch.telemetry/v7``) for CI dashboards and
 the performance benchmarks.
 
 Schema history: v2 adds per-plugin typed-incident counts

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..php.errors import PhpSyntaxError
@@ -51,7 +52,6 @@ from ..php.errors import PhpSyntaxError
 
 _TOKEN_BYTES = 150
 _LOC_BYTES = 560
-_INSTRUCTION_BYTES = 200
 _SLOT_OVERHEAD = 256
 
 
@@ -69,10 +69,6 @@ def approx_object_bytes(obj: object) -> int:
             + _TOKEN_BYTES * len(tokens)
             + _LOC_BYTES * loc
         )
-    codes = getattr(obj, "codes", None)
-    if codes is not None:  # IRProgram: flat instruction tuples per body
-        instructions = sum(len(body) for body in codes)
-        return _SLOT_OVERHEAD + _INSTRUCTION_BYTES * max(1, instructions)
     # summaries, parse failures, anything else: shallow size plus a
     # fixed allowance for their (small) owned containers
     try:
@@ -114,16 +110,6 @@ def summary_key(fingerprint: str, function_key: str, digest: str) -> str:
     return f"summary2!{fingerprint}!{function_key}!{digest}"
 
 
-def ir_key(fingerprint: str, path: str, digest: str) -> str:
-    """Lowered-IR cache key: analyzer configuration fingerprint + file
-    path + content digest.  The ``ir1!`` prefix keeps these slots
-    disjoint from file models and summaries (same reasoning as
-    :func:`summary_key`); the ``1`` is the on-disk generation — the
-    instruction encoding itself is additionally versioned through
-    :data:`repro.core.ir.IR_VERSION` inside the stored program."""
-    return f"ir1!{fingerprint}!{path}!{digest}"
-
-
 @dataclass
 class CacheStats:
     hits: int = 0
@@ -139,23 +125,6 @@ class CacheStats:
     oversized: int = 0
     #: corrupt persistent entries detected and quarantined (disk cache)
     corrupt: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclass
-class IRCacheStats:
-    """Counters of the lowered-IR tier (one entry per file), separate
-    from the parse and summary tiers for the same observability reason."""
-
-    hits: int = 0
-    misses: int = 0
-    #: subset of ``hits`` served from the persistent tier
-    disk_hits: int = 0
-    stores: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -200,7 +169,8 @@ class ModelCache:
     max_bytes: Optional[int] = None
     stats: CacheStats = field(default_factory=CacheStats)
     summary_stats: SummaryCacheStats = field(default_factory=SummaryCacheStats)
-    ir_stats: IRCacheStats = field(default_factory=IRCacheStats)
+    #: inert stand-in, always 0 hits: read at perfbench/workloads.py:310
+    ir_stats = SimpleNamespace(hits=0)
     #: recency-ordered (dict insertion order): first key is the LRU victim
     _slots: Dict[str, _Slot] = field(default_factory=dict, repr=False)
     #: per-key size estimates backing :attr:`current_bytes`
@@ -253,27 +223,12 @@ class ModelCache:
         self.summary_stats.stores += 1
         self._insert(key, (summary, None))
 
-    # -- lowered-IR tier ----------------------------------------------------
-
-    def lookup_ir(self, key: str) -> Optional[object]:
-        """Return the cached :class:`~repro.core.ir.IRProgram` under
-        ``key``, or None.  Version/shape validation is the caller's job —
-        the cache only answers by content address."""
-        disk_hits_before = self.stats.disk_hits
-        slot = self._load(key)
-        if self.stats.disk_hits != disk_hits_before:
-            # re-attribute the disk hit to the IR tier's counters
-            self.stats.disk_hits = disk_hits_before
-            self.ir_stats.disk_hits += 1
-        if slot is None:
-            self.ir_stats.misses += 1
-            return None
-        self.ir_stats.hits += 1
-        return slot[0]
+    # inert stand-ins, never called: wrapped at perfbench/spans.py:182-184
+    def lookup_ir(self, key: str) -> None:
+        return None
 
     def store_ir(self, key: str, program: object) -> None:
-        self.ir_stats.stores += 1
-        self._insert(key, (program, None))
+        pass
 
     # -- storage hooks (extended by the persistent disk tier) ---------------
 
@@ -355,7 +310,6 @@ class ModelCache:
         self._total_bytes = 0
         self.stats = CacheStats()
         self.summary_stats = SummaryCacheStats()
-        self.ir_stats = IRCacheStats()
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -1827,13 +1827,6 @@ class TaintEngine:
 
     def _eval_static_call(self, node: ast.StaticCall, scope: Scope) -> Value:
         values = self._eval_args(node.args, scope)
-        return self._static_call_with_values(node, values, scope)
-
-    def _static_call_with_values(
-        self, node: ast.StaticCall, values: List[Value], scope: Scope
-    ) -> Value:
-        """Static-call resolution after the arguments are evaluated
-        (shared with the IR evaluator, which lowers the argument list)."""
         if not self.options.oop or not isinstance(node.method, str):
             return Value.clean()
         class_name = node.class_name
@@ -1923,13 +1916,6 @@ class TaintEngine:
 
     def _eval_new(self, node: ast.New, scope: Scope) -> Value:
         values = self._eval_args(node.args, scope)
-        return self._new_with_values(node, values, scope)
-
-    def _new_with_values(
-        self, node: ast.New, values: List[Value], scope: Scope
-    ) -> Value:
-        """Constructor dispatch after the arguments are evaluated
-        (shared with the IR evaluator)."""
         if not isinstance(node.class_name, str):
             return Value.clean()
         class_name = node.class_name
@@ -1951,13 +1937,6 @@ class TaintEngine:
         A tainted include path is also a file-inclusion sink (extension
         kind ``VulnKind.LFI``)."""
         path_value = self._eval(node.path, scope)
-        return self._include_with_value(node, path_value, scope)
-
-    def _include_with_value(
-        self, node: ast.IncludeExpr, path_value: Value, scope: Scope
-    ) -> Value:
-        """Include handling after the path expression is evaluated
-        (shared with the IR evaluator)."""
         if (
             VulnKind.LFI in self.options.construct_kinds
             and path_value.taint.active.get(VulnKind.LFI)

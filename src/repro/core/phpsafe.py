@@ -59,11 +59,6 @@ class PhpSafeOptions:
     #: (the batch path gets its timeout from SIGALRM).  Only honoured
     #: with ``recover=True``; overrides ``engine.unit_deadline``.
     file_deadline: Optional[float] = None
-    #: Run the taint fixed-point over lowered linear IR instead of
-    #: re-walking the AST (same findings, ~2x faster analysis; the
-    #: difftest ``ir`` axis enforces signature equality).  ``False``
-    #: (the CLI's ``--no-ir``) selects the reference AST interpreter.
-    use_ir: bool = True
     #: Drop token lists from FileModels as soon as their trees exist
     #: (streaming scans; roughly halves the per-file model footprint).
     #: Tokens feed nothing after parse, so findings are unaffected.
@@ -71,11 +66,11 @@ class PhpSafeOptions:
     engine: EngineOptions = field(default_factory=EngineOptions)
 
 
-#: Process-wide L1 artifact cache: parse models, lowered IR and function
-#: summaries, shared by every tool constructed without an explicit cache
+#: Process-wide L1 artifact cache: parse models and function summaries,
+#: shared by every tool constructed without an explicit cache
 #: (the ``re`` module's compiled-pattern cache is the model).  Safe to
 #: share because every tier is content-addressed — model slots key on
-#: path + source digest + parse variant, and IR/summary slots embed the
+#: path + source digest + parse variant, and summary slots embed the
 #: analyzer-configuration fingerprint — so two tools can only ever hit
 #: the same slot when they would have computed the identical artifact.
 #: Created lazily so importing the module costs nothing; bounded LRU so
@@ -168,11 +163,6 @@ class PhpSafe(AnalyzerTool):
         budget was left when it was computed (faulted placeholder
         summaries are never persisted)."""
         spec = (
-            # evaluator tag: IR and AST runs must never share cached
-            # summaries, rescan manifests, or lowered-IR entries — the
-            # results are identical by contract, but a shared namespace
-            # would mask an evaluator divergence instead of surfacing it
-            "ir" if self.options.use_ir else "ast",
             self.profile.fingerprint(),
             engine_options.oop,
             engine_options.analyze_uncalled,
@@ -291,12 +281,17 @@ class PhpSafe(AnalyzerTool):
         engine_options: EngineOptions,
         model: Optional[PluginModel] = None,
         carried: Sequence[Finding] = (),
+        perf_before: Optional[Dict[str, float]] = None,
     ) -> Tuple[ToolReport, PluginModel, TaintEngine]:
         """The shared scan core behind :meth:`analyze` and
         :meth:`rescan`: build (or accept) the model, run the engine,
         shape the report.  ``carried`` findings from a prior manifest
-        are min-merged with the live ones before deduplication."""
-        perf_before = counters.snapshot()
+        are min-merged with the live ones before deduplication.  A
+        caller that built ``model`` itself passes the counter snapshot
+        it took before the build, so ``report.perf`` still covers the
+        front end."""
+        if perf_before is None:
+            perf_before = counters.snapshot()
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         if model is None:
             model = PluginModel.build(
@@ -319,19 +314,7 @@ class PhpSafe(AnalyzerTool):
         fingerprint = ""
         if self.cache is not None:
             fingerprint = self._summary_fingerprint(engine_options)
-        if self.options.use_ir:
-            # late import: the IR evaluator builds on top of the engine
-            from .ir import IRTaintEngine
-
-            engine: TaintEngine = IRTaintEngine(
-                model,
-                self.profile,
-                engine_options,
-                ir_store=self.cache,
-                ir_fingerprint=fingerprint,
-            )
-        else:
-            engine = TaintEngine(model, self.profile, engine_options)
+        engine = TaintEngine(model, self.profile, engine_options)
         use_summary_cache = self.cache is not None and engine_options.use_summaries
         digests: Dict[str, str] = {}
         preloaded: Set[str] = set()
@@ -417,6 +400,7 @@ class PhpSafe(AnalyzerTool):
             validate_rescan,
         )
 
+        perf_before = counters.snapshot()
         digests = plugin_file_digests(plugin)
         base_options = self._engine_options(track_units=True)
         fingerprint = self._summary_fingerprint(base_options)
@@ -446,6 +430,7 @@ class PhpSafe(AnalyzerTool):
                 options,
                 model=model,
                 carried=carried_findings(manifest, plan.reuse_roots),
+                perf_before=perf_before,
             )
             violation = validate_rescan(manifest, plan, engine, model)
             if violation is None:
@@ -462,7 +447,9 @@ class PhpSafe(AnalyzerTool):
             stats.fallback_reason = violation
         elif plan.reason:
             stats.fallback_reason = plan.reason
-        report, model, engine = self._scan(plugin, base_options, model=model)
+        report, model, engine = self._scan(
+            plugin, base_options, model=model, perf_before=perf_before
+        )
         new_manifest = build_manifest(fingerprint, digests, engine)
         stats.roots_total = len(new_manifest["roots"])  # type: ignore[arg-type]
         stats.roots_reused = 0

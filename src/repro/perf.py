@@ -11,7 +11,7 @@ Callers that want a per-run view (``PhpSafe.analyze``, batch workers)
 take a :meth:`PerfCounters.snapshot` before the work and
 :meth:`PerfCounters.since` after — or wrap the work in :func:`scoped`,
 which does both; the delta dict is what lands in ``ToolReport.perf``
-and the batch telemetry (schema v4).  Derived rates (tokens/s, nodes/s)
+and the batch telemetry (:data:`repro.batch.telemetry.SCHEMA`).  Derived rates (tokens/s, nodes/s)
 are computed by :func:`derive` at reporting time.
 
 Counter storage is **thread-local**: the analysis service runs several
@@ -46,11 +46,8 @@ FIELDS = (
     "summary_cache_hits",
     "summary_cache_misses",
     "summary_cache_stale",
-    # lowered taint IR (per-file lowering + persistent IR cache)
-    "ir_bodies_lowered",
-    "ir_lower_seconds",
-    "ir_cache_hits",
-    "ir_cache_misses",
+    "ir_cache_hits",  # inert stand-in, always 0: read at perfbench/workloads.py:254
+    "ir_lower_seconds",  # inert stand-in, always 0: read at perfbench/spans.py:180
 )
 
 

@@ -750,65 +750,3 @@ def index_file(tree: "PhpFile") -> FileIndex:
             stack.extend(reversed(children))
     return index
 
-
-def iter_bodies(tree: "PhpFile"):
-    """Enumerate the executable statement lists of a file in document
-    order: the top-level body first, then every function and method body
-    (abstract methods have no body; closures are excluded because the
-    engine never executes them).
-
-    The order is deterministic for a given tree, which lets per-file
-    compilation artifacts (the lowered taint IR) be cached positionally
-    and rebound to a freshly parsed or unpickled tree.
-
-    Declarations are located with a dedicated statement-structure
-    traversal rather than the generic :func:`walk`: function and class
-    declarations are statements, so the traversal never needs to enter
-    expression subtrees, which is where most nodes live.  (The one
-    exception — a declaration nested inside a closure body — is not
-    enumerated here; consumers lower such stray bodies on demand.)
-    """
-    bodies = [tree.statements]
-    _collect_bodies(tree.statements, bodies)
-    return bodies
-
-
-def _collect_bodies(statements, out) -> None:
-    """Append nested function/method bodies of ``statements`` to ``out``
-    in document order (see :func:`iter_bodies`)."""
-    for node in statements:
-        cls = node.__class__
-        if cls is IfStatement:
-            _collect_bodies(node.then, out)
-            for clause in node.elseifs:
-                _collect_bodies(clause.body, out)
-            if node.otherwise:
-                _collect_bodies(node.otherwise, out)
-        elif (
-            cls is WhileStatement
-            or cls is DoWhileStatement
-            or cls is ForStatement
-            or cls is ForeachStatement
-        ):
-            _collect_bodies(node.body, out)
-        elif cls is SwitchStatement:
-            for case in node.cases:
-                _collect_bodies(case.body, out)
-        elif cls is TryStatement:
-            _collect_bodies(node.body, out)
-            for catch in node.catches:
-                _collect_bodies(catch.body, out)
-            if node.finally_body:
-                _collect_bodies(node.finally_body, out)
-        elif cls is Block:
-            _collect_bodies(node.statements, out)
-        elif cls is FunctionDecl:
-            out.append(node.body)
-            _collect_bodies(node.body, out)
-        elif cls is ClassDecl:
-            for method in node.methods:
-                if method.body is not None:
-                    out.append(method.body)
-                    _collect_bodies(method.body, out)
-        elif (cls is NamespaceStatement or cls is DeclareStatement) and node.body:
-            _collect_bodies(node.body, out)

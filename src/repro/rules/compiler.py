@@ -12,7 +12,7 @@ The load→compile→fingerprint flow:
    filter instead of shadowing it), and append the pack's own specs.
 3. **fingerprint**: the compiled profile records each pack's
    ``(name, version, content_hash)``; ``AnalyzerProfile.fingerprint()``
-   folds those in, so summary/IR/disk cache keys and the service
+   folds those in, so summary/disk cache keys and the service
    analyzer fingerprint all shift whenever pack content shifts.
 
 ``resolve_profile`` is the single entry point both ``PhpSafe`` and the

@@ -1,13 +1,45 @@
-"""Tests for the incremental parse cache (memory LRU + disk tier)."""
+"""Tests for the incremental parse cache (memory LRU + disk tier) and
+the process-wide L1 artifact cache."""
 
 from repro.batch import DiskModelCache
 from repro.core import ModelCache, PhpSafe
 from repro.core.cache import content_key
 from repro.core.model import PluginModel
+from repro.core.phpsafe import process_cache
+from repro.core.results import finding_signatures
 from repro.php.errors import PhpParseError
 from repro.plugin import Plugin
 
 SOURCE = "<?php echo $_GET['q'];"
+
+# one source exercising interpolation, reference groups,
+# ``global``/``static`` write-through, null coalescing, sanitizers,
+# OOP property flow and cacheable function summaries
+FLOW_SOURCE = """<?php
+function render($x) { echo "<b>$x</b>"; }
+$a = $_GET['q'];
+$b =& $a;
+echo $b;
+echo htmlentities($_GET['w']);
+$c = $_POST['p'] ?? 'default';
+mysql_query("SELECT * FROM t WHERE x = $c");
+render($_GET['r']);
+class Box {
+    public $v;
+    function set($x) { $this->v = $x; }
+    function show() { echo $this->v; }
+}
+$box = new Box();
+$box->set($_GET['z']);
+$box->show();
+function accumulate() {
+    static $s = '';
+    $s = $s . $_GET['acc'];
+    echo $s;
+}
+accumulate();
+accumulate();
+"""
 
 
 class TestModelCache:
@@ -198,3 +230,39 @@ class TestCachedAnalysis:
         PhpSafe(cache=cache).analyze(plugin)
         PhpSafe(cache=cache).analyze(plugin)
         assert cache.stats.hit_rate >= 0.5
+
+
+def _flow_signatures(tool: PhpSafe) -> frozenset:
+    plugin = Plugin(name="flow", files={"a.php": FLOW_SOURCE})
+    return frozenset(finding_signatures([tool.analyze(plugin)]))
+
+
+class TestProcessCache:
+    def test_default_tools_share_the_process_cache(self):
+        shared = process_cache()
+        assert PhpSafe().cache is shared
+        assert PhpSafe().cache is shared
+
+    def test_explicit_cache_wins(self):
+        cache = ModelCache()
+        assert PhpSafe(cache=cache).cache is cache
+
+    def test_opt_out_disables_caching(self):
+        assert PhpSafe(use_process_cache=False).cache is None
+
+    def test_opt_out_parity(self):
+        cached = _flow_signatures(PhpSafe())
+        uncached = _flow_signatures(PhpSafe(use_process_cache=False))
+        assert cached == uncached
+
+    def test_second_tool_hits_shared_artifacts(self):
+        # a unique source so other tests can't have warmed these slots
+        source = FLOW_SOURCE + "\n<?php echo $_GET['process_cache_probe'];\n"
+        plugin = Plugin(name="pc", files={"probe.php": source})
+        shared = process_cache()
+        PhpSafe().analyze(plugin)
+        hits_before = shared.stats.hits
+        summary_hits_before = shared.summary_stats.hits
+        PhpSafe().analyze(plugin)
+        assert shared.stats.hits > hits_before
+        assert shared.summary_stats.hits > summary_hits_before

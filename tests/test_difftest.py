@@ -178,7 +178,6 @@ class TestConfigMatrixOracle:
             "jobs",
             "summaries",
             "incremental",
-            "ir",
         }
         assert report.ok, render_oracle_reports(reports, verbose=True)
         # the corpus plants vulnerabilities, so an empty set would mean
@@ -190,7 +189,7 @@ class TestConfigMatrixOracle:
             OracleOptions(versions=("2012",), scale=0.02, jobs=2)
         )
         rendered = render_oracle_reports(oracle.run())
-        for axis in ("recover", "summaries", "jobs", "cache", "incremental", "ir"):
+        for axis in ("recover", "summaries", "jobs", "cache", "incremental"):
             assert axis in rendered
 
 

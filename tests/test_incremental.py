@@ -137,6 +137,24 @@ class TestRescanParity:
             # the untouched decoupled root is the only reusable one
             assert stats.roots_reused <= 1
 
+    def test_rescan_perf_counts_front_end_work(self):
+        # the model is built before the engine runs; its lexing and
+        # parsing must still land in the rescan report's perf delta
+        plugin = Plugin(name="two", files={"a.php": FILE_A, "b.php": FILE_B})
+        analyzed = PhpSafe(use_process_cache=False).analyze(plugin).perf
+        cold, manifest, _ = PhpSafe(use_process_cache=False).rescan(plugin)
+        for key in ("tokens_lexed", "files_parsed"):
+            assert analyzed[key] > 0
+            assert cold.perf[key] == analyzed[key]
+        assert cold.perf["lex_seconds"] > 0
+        assert cold.perf["parse_seconds"] > 0
+        # an incremental rescan re-parses exactly the changed file
+        tool = PhpSafe(cache=ModelCache())
+        _report, manifest, _ = tool.rescan(plugin)
+        warm, _m2, stats = tool.rescan(mutate(plugin, "b.php", "echo 1;\n"), manifest)
+        assert stats.incremental
+        assert warm.perf["files_parsed"] == 1
+
     def test_stats_to_dict_round_trip(self):
         stats = RescanStats(
             roots_total=3, roots_reused=2, changed_files=["b.php"]

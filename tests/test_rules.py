@@ -10,7 +10,7 @@ from repro.batch import ToolSpec
 from repro.config import ALL_KINDS, VulnKind
 from repro.config.profiles import drupal, joomla, wordpress
 from repro.core import PhpSafe, PhpSafeOptions
-from repro.core.cache import ir_key, summary_key
+from repro.core.cache import summary_key
 from repro.plugin import Plugin
 from repro.rules import (
     PackError,
@@ -259,9 +259,8 @@ class TestFingerprintInvalidation:
         after = resolve_profile(options).fingerprint()
         assert before != after
         # the per-tier cache keys embed the fingerprint, so one edited
-        # sink misses the summary, IR, and disk tiers at once
+        # sink misses the summary and disk tiers at once
         assert summary_key(before, "f", "d") != summary_key(after, "f", "d")
-        assert ir_key(before, "a.php", "d") != ir_key(after, "a.php", "d")
 
     def test_summary_and_ir_fingerprints_shift(self, tmp_path):
         path = _write_pack(tmp_path, self.V1)
@@ -330,25 +329,6 @@ class TestPackAnalysis:
         for kind, source in cases.items():
             report = self._scan(source)
             assert {f.kind.value for f in report.findings} == {kind}, kind
-
-    def test_ast_and_ir_agree_on_pack_kinds(self):
-        source = (
-            "<?php function f($u) { return add_query_arg('a', 'b', $u); }\n"
-            "wp_remote_get(f($_GET['u']));\n"
-            "echo f($_GET['u']);\n"
-        )
-        options_ir = PhpSafeOptions(rule_packs=("ssrf",))
-        options_ast = PhpSafeOptions(rule_packs=("ssrf",), use_ir=False)
-        plugin = Plugin(name="t", files={"t.php": source})
-        ir_report = PhpSafe(options=options_ir, use_process_cache=False).analyze(plugin)
-        ast_report = PhpSafe(options=options_ast, use_process_cache=False).analyze(plugin)
-        signatures = {
-            (f.kind.value, f.file, f.line, f.sink) for f in ir_report.findings
-        }
-        assert signatures == {
-            (f.kind.value, f.file, f.line, f.sink) for f in ast_report.findings
-        }
-        assert {f.kind.value for f in ir_report.findings} == {"ssrf"}
 
     def test_pack_taint_flows_through_user_function_summaries(self):
         source = (
