@@ -23,7 +23,7 @@ and has not been updated since 2007.  Concretely:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..config.profiles import AnalyzerProfile, pixy_2007
 from ..config.vulnerability import PAPER_KINDS
@@ -53,7 +53,7 @@ _WARNING_TOKENS = {
 }
 
 
-def _scan_php5_constructs(tokens: List[Token]) -> tuple:
+def _scan_php5_constructs(tokens: Sequence[Token]) -> tuple:
     """Return ``(fatal reason or None, warning reason or None)``."""
     fatal = None
     warning = None

@@ -10,8 +10,8 @@ million-LOC corpora.  :func:`stream_scan` removes all three:
 - **artifacts**: the parse/summary cache is byte-capped
   (``max_cache_bytes``) and each plugin's file models are eagerly
   spilled the moment its analysis completes — huge models never wait
-  for LRU pressure; token lists are dropped at parse time
-  (``spill_tokens``), halving the per-file footprint;
+  for LRU pressure (file models never hold token lists: the token
+  stream is dropped at parse time);
 - **results**: findings stream to an on-disk JSONL sink
   (:class:`~repro.core.results.JsonlFindingSink`) and the report is
   dropped; SARIF export and telemetry read the stream back
@@ -41,12 +41,10 @@ DEFAULT_MAX_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def streaming_options(base: Optional[PhpSafeOptions] = None) -> PhpSafeOptions:
-    """Streaming variant of ``base`` (default options when omitted):
-    identical analysis semantics, token spilling on."""
-    from dataclasses import replace
-
-    options = base or PhpSafeOptions()
-    return replace(options, spill_tokens=True)
+    """Options for a streaming scan: ``base``, or the defaults.
+    Streaming needs no option of its own."""
+    # kept because the benchmark calls it (perfbench/workloads.py:285)
+    return base or PhpSafeOptions()
 
 
 @dataclass
@@ -110,14 +108,14 @@ def stream_scan(
 
     ``plugins`` may be any iterable — pass a generator to keep the
     corpus itself out of memory.  ``options`` defaults to
-    :func:`streaming_options` (token spilling on); an explicit options
+    :class:`~repro.core.phpsafe.PhpSafeOptions`; an explicit options
     object is honoured as-is so harnesses control every analysis knob.
     ``cache`` overrides the default byte-capped in-memory cache (e.g.
     with a :class:`~repro.batch.diskcache.DiskModelCache` so spilled
     artifacts demote to disk instead of vanishing).
     """
     if options is None:
-        options = streaming_options()
+        options = PhpSafeOptions()
     if cache is None:
         cache = ModelCache(
             max_entries=max_cache_entries, max_bytes=max_cache_bytes

@@ -51,12 +51,10 @@ def _child_entry(mode: str, tier_name: str, seed: int, sink_path: str, conn) -> 
         tier = get_tier(tier_name)
         started = time.perf_counter()
         if mode == "streaming":
-            from .batch.streaming import stream_scan, streaming_options
+            from .batch.streaming import stream_scan
 
             summary = stream_scan(
-                iter_stress_plugins(tier, seed),
-                sink_path,
-                options=streaming_options(stress_options()),
+                iter_stress_plugins(tier, seed), sink_path, options=stress_options()
             )
             loc, findings, plugins = summary.loc, summary.findings, summary.plugins
         elif mode == "accumulating":
@@ -135,7 +133,7 @@ def run_parity(scale: float = 0.25) -> Dict[str, object]:
     Runs in-process (the parity claim is about findings, not memory).
     Returns the witness that goes into ``BENCH_scale.json``.
     """
-    from .batch.streaming import stream_scan, streaming_options
+    from .batch.streaming import stream_scan
     from .core.phpsafe import PhpSafe, PhpSafeOptions
     from .core.results import finding_signatures, stream_signatures
     from .corpus.generator import build_both
@@ -149,9 +147,7 @@ def run_parity(scale: float = 0.25) -> Dict[str, object]:
             reports = [tool.analyze(plugin) for plugin in corpus.plugins]
             accumulated |= finding_signatures(reports)
             sink = os.path.join(workdir, f"stream-{corpus.version}.jsonl")
-            stream_scan(
-                iter(corpus.plugins), sink, options=streaming_options()
-            )
+            stream_scan(iter(corpus.plugins), sink, options=PhpSafeOptions())
             streamed |= stream_signatures(sink)
             total_loc += corpus.total_loc
     return {

@@ -254,18 +254,16 @@ def _scan_stream(args: argparse.Namespace) -> int:
     memory, and the artifact cache is byte-capped.  Only the phpSAFE
     tool streams (the baseline tools have no cache to bound).
     """
-    from .batch.streaming import stream_scan, streaming_options
+    from .batch.streaming import stream_scan
 
     if args.tool != "phpsafe":
         raise SystemExit("--stream supports only --tool phpsafe")
-    options = streaming_options(
-        PhpSafeOptions(
-            oop=not args.no_oop,
-            wordpress_config=not args.generic,
-            recover=not args.strict,
-            profile_name=args.profile,
-            rule_packs=tuple(args.rule_pack),
-        )
+    options = PhpSafeOptions(
+        oop=not args.no_oop,
+        wordpress_config=not args.generic,
+        recover=not args.strict,
+        profile_name=args.profile,
+        rule_packs=tuple(args.rule_pack),
     )
     summary = stream_scan(
         _iter_targets(args.path),

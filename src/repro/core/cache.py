@@ -42,15 +42,14 @@ from ..php.errors import PhpSyntaxError
 # -- approximate slot sizing -------------------------------------------------
 #
 # Exact deep sizeof over a shared/interned AST is both slow and wrong
-# (interned tokens and hash-consed taint states are shared across
+# (interned names and hash-consed taint states are shared across
 # entries); instead each artifact type gets a calibrated linear
 # estimate.  The FileModel coefficients come from tracemalloc
-# measurements of representative OOP plugin files: ~150 heap bytes per
-# token, ~560 per effective line of AST/index, ~2 per raw source byte —
-# about 48 bytes of heap per source byte with tokens, half that once
-# tokens are spilled.
+# measurements of representative OOP plugin files: ~560 heap bytes per
+# effective line of AST/index and ~2 per raw source byte, about 24
+# bytes of heap per source byte.  A FileModel holds no tokens: the
+# token stream is dropped once the file is parsed.
 
-_TOKEN_BYTES = 150
 _LOC_BYTES = 560
 _SLOT_OVERHEAD = 256
 
@@ -61,14 +60,8 @@ def approx_object_bytes(obj: object) -> int:
         return 0
     source = getattr(obj, "source", None)
     if isinstance(source, str):  # FileModel (or compatible)
-        tokens = getattr(obj, "tokens", None) or ()
         loc = getattr(obj, "loc", 0) or 0
-        return (
-            _SLOT_OVERHEAD
-            + 2 * len(source)
-            + _TOKEN_BYTES * len(tokens)
-            + _LOC_BYTES * loc
-        )
+        return _SLOT_OVERHEAD + 2 * len(source) + _LOC_BYTES * loc
     # summaries, parse failures, anything else: shallow size plus a
     # fixed allowance for their (small) owned containers
     try:

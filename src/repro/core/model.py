@@ -1,6 +1,6 @@
 """Model-construction stage (paper Section III.B).
 
-Builds, per plugin: the token stream and AST of every file, the table of
+Builds, per plugin: the AST of every file, the table of
 all user-defined functions and their parameters, the class table (with
 inheritance links), the set of *called* function names, and the include
 graph.  From these it derives the list of functions "that are not called
@@ -26,7 +26,6 @@ from ..php import ast_nodes as ast
 from ..php.errors import AnalysisBudgetExceeded, PhpParseError, PhpSyntaxError
 from ..php.lexer import Lexer, count_loc
 from ..php.parser import Parser
-from ..php.tokens import Token
 from ..plugin import Plugin
 
 
@@ -70,7 +69,6 @@ class FileModel:
 
     path: str
     source: str
-    tokens: List[Token]
     tree: ast.PhpFile
     loc: int
     includes: List[str] = field(default_factory=list)
@@ -114,7 +112,6 @@ class PluginModel:
         include_budget: int = 400_000,
         cache=None,
         recover: bool = False,
-        spill_tokens: bool = False,
     ) -> "PluginModel":
         """Parse every file and collect the model tables.
 
@@ -126,12 +123,8 @@ class PluginModel:
         unchanged files across runs.  ``recover=True`` enables
         panic-mode lexer/parser recovery: a file with a localized syntax
         error still yields a partial model, with each repair recorded in
-        :attr:`incidents`.  ``spill_tokens=True`` drops each file's
-        token list once its tree is built — tokens are a parse
-        by-product no downstream stage reads, and they carry roughly
-        half a FileModel's heap footprint, so streaming scans spill them
-        eagerly (the tree itself cannot be spilled mid-run: function
-        bodies and include execution hold references into it).
+        :attr:`incidents`.  The token stream lives only for the parse:
+        no file model keeps it.
         """
         model = cls(plugin)
         variant = "recover" if recover else ""
@@ -145,8 +138,6 @@ class PluginModel:
                 if cached is not None:
                     if not getattr(cached, "digest", ""):
                         cached.digest = digest  # entry from a pre-digest store
-                    if spill_tokens and getattr(cached, "tokens", None):
-                        cached.tokens = []  # shared entry; safe, see above
                     model.files[path] = cached  # type: ignore[assignment]
                     model.incidents.extend(getattr(cached, "incidents", []))
                     continue
@@ -177,14 +168,9 @@ class PluginModel:
                     cache.store_failure(path, source, wrapped, variant)
                 continue
             index = ast.index_file(tree)
-            if spill_tokens:
-                tokens = []  # spilled before caching: the byte-size
-                # accounting and the persisted object both see the
-                # token-free footprint
             file_model = FileModel(
                 path=path,
                 source=source,
-                tokens=tokens,
                 tree=tree,
                 loc=count_loc(source),
                 includes=_collect_includes(index),

@@ -13,6 +13,7 @@ file, read the findings off the returned report.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
@@ -59,10 +60,6 @@ class PhpSafeOptions:
     #: (the batch path gets its timeout from SIGALRM).  Only honoured
     #: with ``recover=True``; overrides ``engine.unit_deadline``.
     file_deadline: Optional[float] = None
-    #: Drop token lists from FileModels as soon as their trees exist
-    #: (streaming scans; roughly halves the per-file model footprint).
-    #: Tokens feed nothing after parse, so findings are unaffected.
-    spill_tokens: bool = False
     engine: EngineOptions = field(default_factory=EngineOptions)
 
 
@@ -272,7 +269,9 @@ class PhpSafe(AnalyzerTool):
 
     def analyze(self, plugin: Plugin) -> ToolReport:
         """Run the four stages on every file of ``plugin``."""
+        start = time.perf_counter()
         report, _model, _engine = self._scan(plugin, self._engine_options())
+        report.seconds = time.perf_counter() - start
         return report
 
     def _scan(
@@ -299,7 +298,6 @@ class PhpSafe(AnalyzerTool):
                 include_budget=self.options.include_budget,
                 cache=self.cache,
                 recover=self.options.recover,
-                spill_tokens=self.options.spill_tokens,
             )
         # unrecoverable skips keep their historical FileFailure shape so
         # the Section V.E robustness tables are unchanged
@@ -391,6 +389,14 @@ class PhpSafe(AnalyzerTool):
         enforces this); only ``report.variables`` may omit entries a
         skipped unit would have written.
         """
+        start = time.perf_counter()
+        report, new_manifest, stats = self._rescan(plugin, manifest)
+        report.seconds = time.perf_counter() - start
+        return report, new_manifest, stats
+
+    def _rescan(
+        self, plugin: Plugin, manifest: Optional[Dict[str, object]]
+    ) -> "Tuple[ToolReport, Dict[str, object], RescanStats]":
         from .incremental import (
             RescanStats,
             build_manifest,
@@ -409,7 +415,6 @@ class PhpSafe(AnalyzerTool):
             include_budget=self.options.include_budget,
             cache=self.cache,
             recover=self.options.recover,
-            spill_tokens=self.options.spill_tokens,
         )
         if self.options.recover:
             plan = plan_rescan(manifest, fingerprint, digests, model)

@@ -7,19 +7,29 @@ single- and double-quoted strings with ``$var`` / ``{$expr}``
 interpolation, heredoc/nowdoc, line and block comments, casts, and the
 full PHP 5 operator set.
 
-The scanner is single-pass over the source string: every match is
-anchored at ``self.pos`` (``pattern.match(source, pos)`` /
-``source.startswith(lit, pos)``) so no intermediate slices are built,
-and PHP-mode scanning dispatches through a table keyed on the current
-character instead of a conditional ladder.  Identifier and variable
-spellings are interned — plugin code repeats the same names thousands
-of times, and interning makes the later ``==`` checks in the parser
-and engine pointer comparisons.
+No object is allocated per token.  The scanner appends each token's
+type, value and line to three parallel lists and returns them as a
+:class:`~repro.php.tokens.TokenStream`, which the parser indexes
+directly; a :class:`~repro.php.tokens.Token` is built only when a
+caller indexes or iterates the stream.
 
-The public entry points are :func:`tokenize` (returns every token,
-including whitespace and comments — mirroring ``token_get_all``) and
-:func:`tokenize_significant` (comments and whitespace stripped, which is
-what the analyzer consumes after the paper's "clean the AST" step).
+PHP-mode code is matched one token per step by :data:`_MASTER`, one
+alternation (with the preceding whitespace run fused in) driven by
+``Pattern.scanner`` so consecutive matches stay in C.  The scanner
+stops only at the constructs the alternation deliberately leaves out —
+interpolated or unterminated strings, backticks, ``<`` (heredocs and
+the ``<``-family operators), a ``$`` not followed by a name, ``\\`` —
+or at whitespace directly before one; :data:`_SLOW_PATH` maps that
+character to its handler.  Identifier and variable spellings are
+interned: plugin code repeats the same names thousands of times, and
+interning makes the later ``==`` checks in the parser and engine
+pointer comparisons.
+
+The public entry points are :func:`tokenize` (every token, including
+whitespace and comments — mirroring ``token_get_all``) and
+:func:`tokenize_significant` (comments and whitespace never emitted,
+which is what the analyzer consumes after the paper's "clean the AST"
+step).
 """
 
 from __future__ import annotations
@@ -32,28 +42,20 @@ from typing import Iterator, List, Optional
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..perf import counters
 from .errors import PhpLexError
-from .tokens import CASTS, KEYWORDS, OPERATORS, Token, TokenType
+from .tokens import CASTS, KEYWORDS, OPERATORS, TokenStream, TokenType
 
 _IDENT_START = re.compile(r"[A-Za-z_\x80-\xff]")
 _IDENT_FULL = re.compile(r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
 _VARIABLE = re.compile(r"\$[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
 _WHITESPACE = re.compile(r"[ \t\r\n]+")
-_LINE_COMMENT = re.compile(r"(?:#|//).*?(?=\?>|\n|$)", re.DOTALL)
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 _BIN = re.compile(r"0[bB][01]+")
 _FLOAT = re.compile(r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+")
 _INT = re.compile(r"\d+")
-_CAST = re.compile(r"\(\s*([A-Za-z]+)\s*\)")
 _OPEN_TAG = re.compile(r"<\?(php\b|=)?", re.IGNORECASE)
 _HEREDOC_START = re.compile(r"<<<[ \t]*(['\"]?)([A-Za-z_][A-Za-z0-9_]*)\1\r?\n")
 _INTERP_INDEX = re.compile(r"\$[A-Za-z_][A-Za-z0-9_]*|\d+|[A-Za-z_][A-Za-z0-9_]*")
 _INTERP_PROP = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-#: identifier characters, used to build the dispatch table below
-_IDENT_CHARS = (
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-    + "".join(chr(c) for c in range(0x80, 0x100))
-)
 
 #: multi-character operators grouped by first character, longest first
 #: (inherits the ordering of :data:`OPERATORS`)
@@ -75,9 +77,9 @@ _OPERATOR_TYPES = dict(OPERATORS)
 #: stateful handling — interpolated/unterminated strings, backtick,
 #: ``<`` (heredoc and the ``<``-family operators),
 #: ``$``-variable-variables, ``\`` — are deliberately absent so they
-#: fall through to the dispatch-table slow path (whitespace directly
+#: fall through to the :data:`_SLOW_PATH` handlers (whitespace directly
 #: before such a construct falls through with it, which is why the
-#: whitespace dispatch handler still exists).  Alternative order is
+#: whitespace handler still exists).  Alternative order is
 #: semantic: comments before the ``/`` operators, numbers before
 #: ``.``/``.=``, multi-char operators before single chars, the cast
 #: alternative before a bare ``(``, and the close tag before a bare
@@ -123,14 +125,18 @@ class Lexer:
         self.filename = filename
         self.pos = 0
         self.line = 1
-        self.tokens: List[Token] = []
+        #: the token stream being built, as the three parallel lists a
+        #: :class:`~repro.php.tokens.TokenStream` wraps
+        self.types: List[TokenType] = []
+        self.values: List[str] = []
+        self.lines: List[int] = []
         #: with ``recover=True``, unterminated strings/heredocs are
         #: closed at EOF instead of raising, and each repair is recorded
         #: here as a recovered lex incident (paper Section V.E)
         self.recover = recover
         #: with ``significant=True``, whitespace and comments advance the
-        #: scanner without ever constructing their Token objects — the
-        #: paper's "clean the AST" step fused into the scan itself
+        #: scanner without being emitted — the paper's "clean the AST"
+        #: step fused into the scan itself
         self.significant = significant
         self.incidents: List[Incident] = []
 
@@ -150,7 +156,9 @@ class Lexer:
     # -- helpers ---------------------------------------------------------
 
     def _emit(self, type_: TokenType, value: str, line: Optional[int] = None) -> None:
-        self.tokens.append(Token(type_, value, self.line if line is None else line))
+        self.types.append(type_)
+        self.values.append(value)
+        self.lines.append(self.line if line is None else line)
 
     def _advance(self, text: str) -> None:
         """Consume ``text`` (already known to be at ``self.pos``)."""
@@ -163,8 +171,8 @@ class Lexer:
 
     # -- top level ---------------------------------------------------------
 
-    def tokenize(self) -> List[Token]:
-        """Scan the whole source and return the token list."""
+    def tokenize(self) -> TokenStream:
+        """Scan the whole source and return the token stream."""
         start = time.perf_counter()
         source = self.source
         while self.pos < len(source):
@@ -185,9 +193,11 @@ class Lexer:
                 self._emit(TokenType.OPEN_TAG, tag)
             self._advance(tag)
             self._lex_php()
+        counters.tokens_lexed += len(self.types)
+        # the EOF sentinel the stream's view hides (see TokenStream)
+        self._emit(TokenType.EOF, "", self.lines[-1] if self.lines else 0)
         counters.lex_seconds += time.perf_counter() - start
-        counters.tokens_lexed += len(self.tokens)
-        return self.tokens
+        return TokenStream(self.types, self.values, self.lines)
 
     # -- PHP mode ----------------------------------------------------------
 
@@ -195,21 +205,23 @@ class Lexer:
         """Scan PHP code until ``?>`` or end of input.
 
         The hot path is one C-level :data:`_MASTER` regex match per
-        token; only stateful constructs (strings, comments, heredocs,
-        casts) fall through to the per-character dispatch table.
+        token; only the constructs it leaves out fall through to
+        :data:`_SLOW_PATH`.
         """
         source = self.source
         size = len(source)
-        dispatch_get = _DISPATCH.get
-        append = self.tokens.append
+        slow_path_get = _SLOW_PATH.get
+        add_type = self.types.append
+        add_value = self.values.append
+        add_line = self.lines.append
         significant = self.significant
         keywords_get = KEYWORDS.get
         operator_types = _OPERATOR_TYPES
-        token_cls = Token
         string_type = TokenType.STRING
         char_type = TokenType.CHAR
         variable_type = TokenType.VARIABLE
         ws_type = TokenType.WHITESPACE
+        lnumber_type = TokenType.LNUMBER
         # pos/line live in locals across the hot loop; the slow-path
         # handlers read and write the instance attributes, so the loop
         # syncs before and reloads after every fallback call
@@ -233,7 +245,9 @@ class Lexer:
                 ws = match.group(1)
                 if ws is not None:
                     if not significant:
-                        append(token_cls(ws_type, ws, line))
+                        add_type(ws_type)
+                        add_value(ws)
+                        add_line(line)
                     line += ws.count("\n")
                 if index == 3:  # identifier / keyword
                     text = match.group(3)
@@ -243,58 +257,75 @@ class Lexer:
                             type_ = keywords_get(text.lower())
                         if type_ is None:
                             type_ = string_type
-                    append(token_cls(type_, intern(text), line))
+                    text = intern(text)
                 elif index == 14:  # bare single-char token
-                    append(token_cls(char_type, match.group(14), line))
+                    type_ = char_type
+                    text = match.group(14)
                 elif index == 2:  # variable
-                    append(token_cls(variable_type, intern(match.group(2)), line))
+                    type_ = variable_type
+                    text = intern(match.group(2))
                 elif index == 13:  # multi-char operator
                     text = match.group(13)
-                    append(token_cls(operator_types[text], text, line))
+                    type_ = operator_types[text]
                 elif index == 7 or index == 8:  # quoted string, no interpolation
                     text = match.group(index)
-                    append(token_cls(TokenType.CONSTANT_ENCAPSED_STRING, text, line))
+                    add_type(TokenType.CONSTANT_ENCAPSED_STRING)
+                    add_value(text)
+                    add_line(line)
                     line += text.count("\n")
+                    continue
                 elif index == 9:  # block comment
                     text = match.group(9)
                     if not significant:
-                        type_ = (
+                        add_type(
                             TokenType.DOC_COMMENT
                             if text.startswith("/**") and len(text) > 4
                             else TokenType.COMMENT
                         )
-                        append(token_cls(type_, text, line))
+                        add_value(text)
+                        add_line(line)
                     line += text.count("\n")
+                    continue
                 elif index == 10:  # line comment
                     if not significant:
-                        append(token_cls(TokenType.COMMENT, match.group(10), line))
+                        add_type(TokenType.COMMENT)
+                        add_value(match.group(10))
+                        add_line(line)
+                    continue
                 elif index == 11:  # cast — token value is the full spelling
                     start = match.start() if ws is None else match.end(1)
                     text = source[start : match.end()]
-                    append(token_cls(CASTS[match.group(11).lower()], text, line))
+                    type_ = CASTS[match.group(11).lower()]
                 elif index == 12:  # ?> close tag (swallows one trailing newline)
                     pos = match.end()
+                    add_type(TokenType.CLOSE_TAG)
+                    add_line(line)
                     if pos < size and source[pos] == "\n":
-                        append(token_cls(TokenType.CLOSE_TAG, "?>\n", line))
+                        add_value("?>\n")
                         pos += 1
                         line += 1
                     else:
-                        append(token_cls(TokenType.CLOSE_TAG, "?>", line))
+                        add_value("?>")
                     self.pos = pos
                     self.line = line
                     return
                 elif index == 5:  # float
-                    append(token_cls(TokenType.DNUMBER, match.group(5), line))
+                    type_ = TokenType.DNUMBER
+                    text = match.group(5)
                 else:  # 4 or 6: integer
-                    append(token_cls(TokenType.LNUMBER, match.group(index), line))
+                    type_ = lnumber_type
+                    text = match.group(index)
+                add_type(type_)
+                add_value(text)
+                add_line(line)
             if pos >= size:
                 break
-            # the scanner stopped mid-input: a stateful construct (or
+            # the scanner stopped mid-input: a slow-path construct (or
             # whitespace directly before one) sits at ``pos``
             self.pos = pos
             self.line = line
             char = source[pos]
-            handler = dispatch_get(char)
+            handler = slow_path_get(char)
             if handler is not None:
                 handler(self)
             else:
@@ -306,117 +337,49 @@ class Lexer:
 
     def _lex_operator_or_char(self, char: str) -> None:
         """Multi-character operator at ``pos``, else a bare CHAR token."""
-        group = _OPERATORS_BY_FIRST.get(char)
+        if not self._match_operator():
+            # bare one-character token ("code semantics" per the paper)
+            self._emit(TokenType.CHAR, char)
+            self.pos += 1
+
+    def _match_operator(self) -> bool:
+        """Emit the longest multi-character operator at ``pos``, if any."""
+        group = _OPERATORS_BY_FIRST.get(self.source[self.pos])
         if group is not None:
             source, pos = self.source, self.pos
             for spelling, type_ in group:
                 if source.startswith(spelling, pos):
                     self._emit(type_, spelling)
                     self.pos = pos + len(spelling)
-                    return
-        # bare one-character token ("code semantics" per the paper)
-        self._emit(TokenType.CHAR, char)
-        self.pos += 1
+                    return True
+        return False
 
-    def _match_operator(self) -> Optional[Token]:
-        group = _OPERATORS_BY_FIRST.get(self.source[self.pos])
-        if group is not None:
-            for spelling, type_ in group:
-                if self.source.startswith(spelling, self.pos):
-                    self._emit(type_, spelling)
-                    self.pos += len(spelling)
-                    return self.tokens[-1]
-        return None
-
-    # -- dispatch handlers --------------------------------------------------
+    # -- slow-path handlers -------------------------------------------------
 
     def _lex_whitespace(self) -> None:
         match = _WHITESPACE.match(self.source, self.pos)
         assert match is not None
         text = match.group(0)
         if not self.significant:
-            self.tokens.append(Token(TokenType.WHITESPACE, text, self.line))
+            self._emit(TokenType.WHITESPACE, text)
         self.pos = match.end()
         self.line += text.count("\n")
-
-    def _lex_slash(self) -> None:
-        source, pos = self.source, self.pos
-        if source.startswith("/*", pos):
-            self._lex_block_comment()
-        elif source.startswith("//", pos):
-            self._lex_line_comment()
-        else:
-            self._lex_operator_or_char("/")
-
-    def _lex_dollar(self) -> None:
-        nxt = self._peek(1)
-        if nxt and _IDENT_START.match(nxt):
-            self._lex_variable()
-        else:
-            self._lex_operator_or_char("$")
 
     def _lex_lt(self) -> None:
         if self.source.startswith("<<<", self.pos) and self._lex_heredoc():
             return
         self._lex_operator_or_char("<")
 
-    def _lex_dot(self) -> None:
-        if self._peek(1).isdigit():
-            self._lex_number()
-        else:
-            self._lex_operator_or_char(".")
-
-    def _lex_open_paren(self) -> None:
-        cast = _CAST.match(self.source, self.pos)
-        if cast is not None and cast.group(1).lower() in CASTS:
-            self._emit(CASTS[cast.group(1).lower()], cast.group(0))
-            self._advance(cast.group(0))
-        else:
-            self._emit(TokenType.CHAR, "(")
-            self.pos += 1
-
     def _lex_backslash(self) -> None:
         self._emit(TokenType.NS_SEPARATOR, "\\")
         self.pos += 1
-
-    # -- comments -----------------------------------------------------------
-
-    def _lex_block_comment(self) -> None:
-        end = self.source.find("*/", self.pos + 2)
-        if end == -1:
-            text = self.source[self.pos :]
-        else:
-            text = self.source[self.pos : end + 2]
-        if not self.significant:
-            type_ = (
-                TokenType.DOC_COMMENT
-                if text.startswith("/**") and len(text) > 4
-                else TokenType.COMMENT
-            )
-            self.tokens.append(Token(type_, text, self.line))
-        self.pos += len(text)
-        self.line += text.count("\n")
-
-    def _lex_line_comment(self) -> None:
-        # a line comment ends at newline or at ?> (which stays in the stream)
-        match = _LINE_COMMENT.match(self.source, self.pos)
-        assert match is not None
-        text = match.group(0)
-        # note: ".*?" is greedy-enough here because comments cannot span lines
-        newline_index = text.find("\n")
-        if newline_index != -1:  # pragma: no cover - regex stops at newline
-            text = text[:newline_index]
-        if not self.significant:
-            self.tokens.append(Token(TokenType.COMMENT, text, self.line))
-        self.pos += len(text)
 
     # -- simple tokens ------------------------------------------------------
 
     def _lex_variable(self) -> None:
         match = _VARIABLE.match(self.source, self.pos)
         assert match is not None
-        text = intern(match.group(0))
-        self.tokens.append(Token(TokenType.VARIABLE, text, self.line))
+        self._emit(TokenType.VARIABLE, intern(match.group(0)))
         self.pos = match.end()
 
     def _lex_number(self) -> None:
@@ -444,7 +407,7 @@ class Lexer:
                 type_ = KEYWORDS.get(word.lower())
             if type_ is None:
                 type_ = TokenType.STRING
-        self.tokens.append(Token(type_, intern(word), self.line))
+        self._emit(type_, intern(word))
         self.pos = match.end()
 
     # -- strings --------------------------------------------------------------
@@ -572,9 +535,7 @@ class Lexer:
             nonlocal literal_start, literal_line
             if self.pos > literal_start:
                 text = source[literal_start:self.pos]
-                self.tokens.append(
-                    Token(TokenType.ENCAPSED_AND_WHITESPACE, text, literal_line)
-                )
+                self._emit(TokenType.ENCAPSED_AND_WHITESPACE, text, literal_line)
             literal_start = self.pos
             literal_line = self.line
 
@@ -688,7 +649,7 @@ class Lexer:
             self._lex_number()
         elif _IDENT_START.match(char):
             self._lex_identifier()
-        elif self._match_operator() is not None:
+        elif self._match_operator():
             pass
         else:
             self._emit(TokenType.CHAR, char)
@@ -724,12 +685,10 @@ class Lexer:
                     self.line += 1
                 self.pos += 1
             if self.pos > literal_start:
-                self.tokens.append(
-                    Token(
-                        TokenType.ENCAPSED_AND_WHITESPACE,
-                        source[literal_start:self.pos],
-                        literal_line,
-                    )
+                self._emit(
+                    TokenType.ENCAPSED_AND_WHITESPACE,
+                    source[literal_start:self.pos],
+                    literal_line,
                 )
         else:
             self._lex_interpolated_body(terminator="", heredoc_label=label)
@@ -761,43 +720,37 @@ def _heredoc_end_pattern(label: str) -> "re.Pattern":
     return pattern
 
 
-#: PHP-mode dispatch table: first character -> handler.  Characters not
-#: present fall through to operator-or-CHAR handling.
-_DISPATCH = {}
-for _char in " \t\r\n":
-    _DISPATCH[_char] = Lexer._lex_whitespace
-for _char in "0123456789":
-    _DISPATCH[_char] = Lexer._lex_number
-for _char in _IDENT_CHARS:
-    _DISPATCH[_char] = Lexer._lex_identifier
-_DISPATCH["/"] = Lexer._lex_slash
-_DISPATCH["#"] = Lexer._lex_line_comment
-_DISPATCH["$"] = Lexer._lex_dollar
-_DISPATCH["'"] = Lexer._lex_single_quoted
-_DISPATCH['"'] = Lexer._lex_double_quoted
-_DISPATCH["`"] = Lexer._lex_backtick
-_DISPATCH["<"] = Lexer._lex_lt
-_DISPATCH["."] = Lexer._lex_dot
-_DISPATCH["("] = Lexer._lex_open_paren
-_DISPATCH["\\"] = Lexer._lex_backslash
-del _char
+#: Slow-path handlers, keyed on the character the master regex stopped
+#: at.  Every other character reaching the slow path — a ``$`` not
+#: followed by a name, or a character outside PHP's token set — is a
+#: multi-character operator or a bare CHAR token.
+_SLOW_PATH = {char: Lexer._lex_whitespace for char in " \t\r\n"}
+_SLOW_PATH.update(
+    {
+        "'": Lexer._lex_single_quoted,  # group 7 takes terminated ones
+        '"': Lexer._lex_double_quoted,  # group 8 takes constant ones
+        "`": Lexer._lex_backtick,
+        "<": Lexer._lex_lt,
+        "\\": Lexer._lex_backslash,
+    }
+)
 
 
 def tokenize(
     source: str, filename: str = "<string>", recover: bool = False
-) -> List[Token]:
+) -> TokenStream:
     """Tokenize PHP source, mirroring ``token_get_all`` output."""
     return Lexer(source, filename, recover=recover).tokenize()
 
 
 def tokenize_significant(
     source: str, filename: str = "<string>", recover: bool = False
-) -> List[Token]:
+) -> TokenStream:
     """Tokenize and drop whitespace/comments (the paper's cleaning step).
 
-    Trivia tokens are never constructed at all: the lexer runs in
+    Trivia tokens are never emitted at all: the lexer runs in
     significant mode, where whitespace/comment handlers advance the
-    scanner without allocating.
+    scanner without appending.
     """
     return Lexer(source, filename, recover=recover, significant=True).tokenize()
 

@@ -13,13 +13,14 @@ closures, and ``include``/``require``.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Union
 
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from . import ast_nodes as ast
 from .errors import PhpParseError
 from .lexer import tokenize_significant
-from .tokens import Token, TokenType
+from .tokens import TokenStream, TokenType
 
 #: statement-starting keywords the panic-mode recovery resynchronizes on
 #: (in addition to ``;`` and ``}`` statement boundaries)
@@ -51,14 +52,20 @@ _SYNC_TOKENS = frozenset(
     }
 )
 
+# Levels of the one precedence-climbing loop (``Parser._parse_expression``),
+# loosest first; every binary operator sits at ``_BINARY`` or above.
+# ``and``/``or``/``xor`` share one left-associative level.  PHP ranks them
+# or < xor < and; this parser folds them left to right, a known deviation
+# kept so that front-end changes stay AST-identical.
+_LOGICAL = 1
+_ASSIGN = 2  # = and the compound assignments, right-associative
+_TERNARY = 3  # ?: and ?:-short, right-associative
+_BINARY = 4
+
 # Binary operator precedence, PHP manual order (higher binds tighter).
-# `??` sits between `||` and the ternary and is right-associative —
-# handled in the main binary loop rather than a dedicated ladder level.
+# `??` is the loosest binary level and, like `**`, right-associative.
 _BINARY_PRECEDENCE = {
-    "or": 1,
-    "xor": 2,
-    "and": 3,
-    "??": 4,
+    "??": _BINARY,
     "||": 5,
     "&&": 6,
     "|": 7,
@@ -68,7 +75,6 @@ _BINARY_PRECEDENCE = {
     "!=": 10,
     "===": 10,
     "!==": 10,
-    "<>": 10,
     "<": 11,
     "<=": 11,
     ">": 11,
@@ -106,9 +112,6 @@ _BINARY_TOKEN_SPELLING = {
     TokenType.COALESCE: "??",
     TokenType.BOOLEAN_AND: "&&",
     TokenType.BOOLEAN_OR: "||",
-    TokenType.LOGICAL_AND: "and",
-    TokenType.LOGICAL_OR: "or",
-    TokenType.LOGICAL_XOR: "xor",
     TokenType.IS_EQUAL: "==",
     TokenType.IS_NOT_EQUAL: "!=",
     TokenType.IS_IDENTICAL: "===",
@@ -120,6 +123,24 @@ _BINARY_TOKEN_SPELLING = {
     TokenType.POW: "**",
     TokenType.INSTANCEOF: "instanceof",
 }
+
+#: bare CHAR operator -> (level, operator spelling)
+_CHAR_OPERATORS = {
+    op: (level, op) for op, level in _BINARY_PRECEDENCE.items() if len(op) == 1
+}
+_CHAR_OPERATORS["="] = (_ASSIGN, "=")
+_CHAR_OPERATORS["?"] = (_TERNARY, "?")
+
+#: operator token type -> (level, operator spelling)
+_TOKEN_OPERATORS = {
+    type_: (_BINARY_PRECEDENCE[op], op) for type_, op in _BINARY_TOKEN_SPELLING.items()
+}
+_TOKEN_OPERATORS.update(
+    {type_: (_ASSIGN, op + "=") for type_, op in _COMPOUND_ASSIGN.items()}
+)
+_TOKEN_OPERATORS[TokenType.LOGICAL_AND] = (_LOGICAL, "and")
+_TOKEN_OPERATORS[TokenType.LOGICAL_OR] = (_LOGICAL, "or")
+_TOKEN_OPERATORS[TokenType.LOGICAL_XOR] = (_LOGICAL, "xor")
 
 _CAST_NAMES = {
     TokenType.INT_CAST: "int",
@@ -150,6 +171,20 @@ _UNARY_PREFIX_TYPES = frozenset(_CAST_NAMES) | frozenset(_INCLUDE_KINDS) | {
     TokenType.EXIT,
 }
 
+#: primaries that name a constant or function: a qualified name or a
+#: magic constant (``__FILE__`` ...)
+_NAME_CONSTANT_TYPES = frozenset(
+    {
+        TokenType.NS_SEPARATOR,
+        TokenType.FILE,
+        TokenType.LINE,
+        TokenType.DIR,
+        TokenType.FUNC_C,
+        TokenType.CLASS_C,
+        TokenType.METHOD_C,
+    }
+)
+
 _DOUBLE_ESCAPES = {
     "n": "\n",
     "t": "\t",
@@ -160,56 +195,60 @@ _DOUBLE_ESCAPES = {
     "\\": "\\",
     "$": "$",
     '"': '"',
-    "0": "\0",
 }
+
+_SINGLE_ESCAPE = re.compile(r"\\([\\'])")
+#: one double-quoted escape: a named one, octal, ``\xHH`` or ``\u{...}``
+_DOUBLE_ESCAPE = re.compile(
+    r'\\(?:([ntrvfe\\$"])|([0-7]{1,3})|x([0-9A-Fa-f]{1,2})|u\{([0-9A-Fa-f]+)\})'
+)
+
+
+def _decode_double_escape(match: "re.Match") -> str:
+    named, octal, hexadecimal, codepoint = match.groups()
+    if named is not None:
+        return _DOUBLE_ESCAPES[named]
+    if octal is not None:
+        return chr(int(octal, 8) & 0xFF)  # PHP wraps "\400" to "\000"
+    if hexadecimal is not None:
+        return chr(int(hexadecimal, 16))
+    value = int(codepoint, 16)
+    return chr(value) if value <= 0x10FFFF else match.group(0)
 
 
 def unescape_single_quoted(raw: str) -> str:
     """Decode the contents of a single-quoted PHP string literal."""
     body = raw[1:-1]
-    out: List[str] = []
-    index = 0
-    while index < len(body):
-        char = body[index]
-        if char == "\\" and index + 1 < len(body) and body[index + 1] in ("\\", "'"):
-            out.append(body[index + 1])
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
+    if "\\" not in body:
+        return body
+    return _SINGLE_ESCAPE.sub(r"\1", body)
 
 
 def unescape_double_quoted(body: str) -> str:
-    """Decode escape sequences of a double-quoted PHP string body."""
-    out: List[str] = []
-    index = 0
-    while index < len(body):
-        char = body[index]
-        if char == "\\" and index + 1 < len(body):
-            nxt = body[index + 1]
-            if nxt in _DOUBLE_ESCAPES:
-                out.append(_DOUBLE_ESCAPES[nxt])
-                index += 2
-                continue
-        out.append(char)
-        index += 1
-    return "".join(out)
+    """Decode escape sequences of a double-quoted PHP string body.
+
+    Unknown escapes (``\\q``) keep their backslash, as in PHP.
+    """
+    if "\\" not in body:
+        return body
+    return _DOUBLE_ESCAPE.sub(_decode_double_escape, body)
 
 
 class Parser:
-    """One-pass recursive-descent parser with precedence climbing."""
+    """One-pass recursive-descent parser with precedence climbing.
+
+    It reads the lexer's :class:`~repro.php.tokens.TokenStream` lists
+    directly — ``types[pos]``, ``values[pos]``, ``lines[pos]`` — and
+    never builds a token object.  The stream's EOF sentinel makes every
+    read at ``pos`` a plain list index: ``pos`` never moves past it.
+    """
 
     def __init__(
-        self, tokens: List[Token], filename: str = "<string>", recover: bool = False
+        self, tokens: TokenStream, filename: str = "<string>", recover: bool = False
     ) -> None:
-        # an EOF sentinel closes the stream so every ``tokens[pos]``
-        # access in the hot path is a plain list index with no bounds
-        # check or Token construction
-        if not tokens or tokens[-1].type is not TokenType.EOF:
-            tokens = list(tokens)
-            tokens.append(Token(TokenType.EOF, "", tokens[-1].line if tokens else 0))
-        self.tokens = tokens
+        self.types = tokens.types
+        self.values = tokens.values
+        self.lines = tokens.lines
         self.filename = filename
         self.pos = 0
         #: with ``recover=True``, a :class:`PhpParseError` inside a
@@ -222,62 +261,77 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
+    def _type_at(self, offset: int) -> TokenType:
+        """Type of the token ``offset`` ahead (EOF past the end)."""
         index = self.pos + offset
-        tokens = self.tokens
-        return tokens[index] if index < len(tokens) else tokens[-1]
+        types = self.types
+        return types[index] if index < len(types) else TokenType.EOF
 
-    def _next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.EOF:
-            self.pos += 1
-        return token
+    def _char_at(self, offset: int, char: str) -> bool:
+        """True when the token ``offset`` ahead is the bare ``char``."""
+        index = self.pos + offset
+        return (
+            index < len(self.types)
+            and self.values[index] == char
+            and self.types[index] is TokenType.CHAR
+        )
+
+    def _found(self) -> str:
+        """``T_NAME 'value'`` of the current token, for error messages."""
+        pos = self.pos
+        return f"{self.types[pos].value} {self.values[pos]!r}"
+
+    def _next(self) -> str:
+        """Consume the current token (never the EOF sentinel); its value."""
+        pos = self.pos
+        if self.types[pos] is not TokenType.EOF:
+            self.pos = pos + 1
+        return self.values[pos]
 
     def _at(self, type_: TokenType) -> bool:
-        return self.tokens[self.pos].type is type_
+        return self.types[self.pos] is type_
 
     def _at_char(self, char: str) -> bool:
-        token = self.tokens[self.pos]
-        return token.type is TokenType.CHAR and token.value == char
+        pos = self.pos
+        return self.values[pos] == char and self.types[pos] is TokenType.CHAR
 
-    def _accept(self, type_: TokenType) -> Optional[Token]:
-        token = self.tokens[self.pos]
-        if token.type is type_:
+    def _accept(self, type_: TokenType) -> bool:
+        if self.types[self.pos] is type_:
             self.pos += 1
-            return token
-        return None
+            return True
+        return False
 
-    def _accept_char(self, char: str) -> Optional[Token]:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR and token.value == char:
-            self.pos += 1
-            return token
-        return None
+    def _accept_char(self, char: str) -> bool:
+        pos = self.pos
+        if self.values[pos] == char and self.types[pos] is TokenType.CHAR:
+            self.pos = pos + 1
+            return True
+        return False
 
-    def _expect(self, type_: TokenType) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not type_:
+    def _expect(self, type_: TokenType) -> str:
+        """Consume a token of ``type_``; its value."""
+        pos = self.pos
+        if self.types[pos] is not type_:
             raise PhpParseError(
-                f"expected {type_.value}, found {token.name} {token.value!r}",
+                f"expected {type_.value}, found {self._found()}",
                 self.filename,
-                token.line,
+                self.lines[pos],
             )
-        self.pos += 1
-        return token
+        self.pos = pos + 1
+        return self.values[pos]
 
-    def _expect_char(self, char: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.CHAR or token.value != char:
+    def _expect_char(self, char: str) -> None:
+        pos = self.pos
+        if self.values[pos] != char or self.types[pos] is not TokenType.CHAR:
             raise PhpParseError(
-                f"expected {char!r}, found {token.name} {token.value!r}",
+                f"expected {char!r}, found {self._found()}",
                 self.filename,
-                token.line,
+                self.lines[pos],
             )
-        self.pos += 1
-        return token
+        self.pos = pos + 1
 
     def _error(self, message: str) -> PhpParseError:
-        return PhpParseError(message, self.filename, self.tokens[self.pos].line)
+        return PhpParseError(message, self.filename, self.lines[self.pos])
 
     # -- entry point ----------------------------------------------------------
 
@@ -308,34 +362,32 @@ class Parser:
         along the way.  Emits an :class:`~repro.php.ast_nodes.ErrorStmt`
         covering the skipped span and records a recovered parse incident.
         """
-        start_token = self.tokens[start] if start < len(self.tokens) else self._peek()
+        start_line = self.lines[start]
         if self.pos <= start:
             self.pos = start
             self._next()  # guarantee forward progress on the very first token
+        types, values = self.types, self.values
         depth = 0
-        while not self._at(TokenType.EOF):
-            token = self._peek()
-            if token.is_char("{") or token.is_char("(") or token.is_char("["):
-                depth += 1
-            elif token.is_char(")") or token.is_char("]"):
-                if depth > 0:
+        while types[self.pos] is not TokenType.EOF:
+            type_ = types[self.pos]
+            if type_ is TokenType.CHAR:
+                char = values[self.pos]
+                if char == "{" or char == "(" or char == "[":
+                    depth += 1
+                elif char == ")" or char == "]":
+                    if depth > 0:
+                        depth -= 1
+                elif char == "}":
+                    if depth == 0:
+                        break  # the enclosing block's closer: leave it
                     depth -= 1
-            elif token.is_char("}"):
-                if depth == 0:
-                    break  # the enclosing block's closer: leave it
-                depth -= 1
-            elif depth == 0:
-                if token.is_char(";"):
+                elif depth == 0 and char == ";":
                     self._next()  # the boundary belongs to the bad statement
                     break
-                if token.type in _SYNC_TOKENS:
-                    break
+            elif depth == 0 and type_ in _SYNC_TOKENS:
+                break
             self._next()
-        end_line = (
-            self.tokens[self.pos - 1].line
-            if 0 < self.pos <= len(self.tokens)
-            else start_token.line
-        )
+        end_line = self.lines[self.pos - 1] if self.pos > 0 else start_line
         self.incidents.append(
             Incident(
                 stage=IncidentStage.PARSE,
@@ -343,12 +395,12 @@ class Parser:
                 file=self.filename,
                 reason=error.message,
                 recovered=True,
-                line=start_token.line,
+                line=start_line,
                 end_line=end_line,
             )
         )
         return ast.ErrorStmt(
-            line=start_token.line,
+            line=start_line,
             reason=error.message,
             end_line=end_line,
             tokens_skipped=self.pos - start,
@@ -356,101 +408,73 @@ class Parser:
 
     # -- statements -------------------------------------------------------------
 
-    def _parse_statement(self) -> Optional[ast.Statement]:  # noqa: C901
-        token = self._peek()
-        type_ = token.type
-
-        if type_ in (TokenType.OPEN_TAG,):
-            self._next()
-            return None
-        if type_ is TokenType.OPEN_TAG_WITH_ECHO:
-            self._next()
-            return self._parse_echo_tail(token.line)
-        if type_ is TokenType.CLOSE_TAG:
-            self._next()
-            return None
-        if type_ is TokenType.INLINE_HTML:
-            self._next()
-            return ast.InlineHTML(line=token.line, text=token.value)
-        if token.is_char(";"):
-            self._next()
-            return None
-        if token.is_char("{"):
-            self._next()
-            body = self._parse_statement_list_until("}")
-            self._expect_char("}")
-            return ast.Block(line=token.line, statements=body)
-
-        if type_ is TokenType.ECHO:
-            self._next()
-            return self._parse_echo_tail(token.line)
-        if type_ is TokenType.IF:
-            return self._parse_if()
-        if type_ is TokenType.WHILE:
-            return self._parse_while()
-        if type_ is TokenType.DO:
-            return self._parse_do_while()
-        if type_ is TokenType.FOR:
-            return self._parse_for()
-        if type_ is TokenType.FOREACH:
-            return self._parse_foreach()
-        if type_ is TokenType.SWITCH:
-            return self._parse_switch()
-        if type_ is TokenType.BREAK:
-            return self._parse_break_continue(ast.BreakStatement)
-        if type_ is TokenType.CONTINUE:
-            return self._parse_break_continue(ast.ContinueStatement)
-        if type_ is TokenType.RETURN:
-            self._next()
-            expr = None
-            if not self._at_char(";") and not self._at(TokenType.CLOSE_TAG):
-                expr = self._parse_expression()
-            self._end_statement()
-            return ast.ReturnStatement(line=token.line, expr=expr)
-        if type_ is TokenType.GLOBAL:
-            return self._parse_global()
-        if type_ is TokenType.STATIC and self._peek(1).type is TokenType.VARIABLE:
-            return self._parse_static_vars()
-        if type_ is TokenType.UNSET:
-            return self._parse_unset()
-        if type_ is TokenType.THROW:
-            self._next()
-            expr = self._parse_expression()
-            self._end_statement()
-            return ast.ThrowStatement(line=token.line, expr=expr)
-        if type_ is TokenType.TRY:
-            return self._parse_try()
-        if type_ is TokenType.FUNCTION and self._is_function_declaration():
-            return self._parse_function_declaration()
-        if type_ in (TokenType.ABSTRACT, TokenType.FINAL):
-            return self._parse_class_declaration()
-        if type_ in (TokenType.CLASS, TokenType.INTERFACE, TokenType.TRAIT):
-            return self._parse_class_declaration()
-        if type_ is TokenType.NAMESPACE:
-            return self._parse_namespace()
-        if type_ is TokenType.USE:
-            return self._parse_use()
-        if type_ is TokenType.CONST:
-            return self._parse_const()
-        if type_ is TokenType.DECLARE:
-            return self._parse_declare()
-        if type_ is TokenType.GOTO:
-            self._next()
-            label = self._expect(TokenType.STRING).value
-            self._end_statement()
-            return ast.GotoStatement(line=token.line, label=label)
-        if (
-            type_ is TokenType.STRING
-            and self._peek(1).is_char(":")
-            and not self._peek(2).is_char(":")
-        ):
-            self._next()
-            self._next()
-            return ast.LabelStatement(line=token.line, name=token.value)
-
+    def _parse_statement(self) -> Optional[ast.Statement]:
+        pos = self.pos
+        type_ = self.types[pos]
+        handler = _STATEMENT_PARSERS.get(type_)
+        if handler is not None:
+            return handler(self)
+        if type_ is TokenType.CHAR:
+            char = self.values[pos]
+            if char == ";":
+                self.pos = pos + 1
+                return None
+            if char == "{":
+                self.pos = pos + 1
+                body = self._parse_statement_list_until("}")
+                self._expect_char("}")
+                return ast.Block(line=self.lines[pos], statements=body)
+        elif type_ is TokenType.STATIC:
+            if self._type_at(1) is TokenType.VARIABLE:
+                return self._parse_static_vars()
+        elif type_ is TokenType.FUNCTION:
+            if self._is_function_declaration():
+                return self._parse_function_declaration()
+        elif type_ is TokenType.STRING:
+            if self._char_at(1, ":") and not self._char_at(2, ":"):
+                self.pos = pos + 2
+                return ast.LabelStatement(line=self.lines[pos], name=self.values[pos])
         expr = self._parse_expression()
         self._end_statement()
-        return ast.ExpressionStatement(line=token.line, expr=expr)
+        return ast.ExpressionStatement(line=self.lines[pos], expr=expr)
+
+    def _skip_tag(self) -> None:
+        """``<?php`` and ``?>`` carry no statement."""
+        self.pos += 1
+
+    def _parse_inline_html(self) -> ast.InlineHTML:
+        pos = self.pos
+        self.pos = pos + 1
+        return ast.InlineHTML(line=self.lines[pos], text=self.values[pos])
+
+    def _parse_echo(self) -> ast.EchoStatement:
+        """``echo`` or ``<?=``, then the expression list."""
+        line = self.lines[self.pos]
+        self.pos += 1
+        return self._parse_echo_tail(line)
+
+    def _parse_return(self) -> ast.ReturnStatement:
+        line = self.lines[self.pos]
+        self.pos += 1
+        expr = None
+        if not self._at_char(";") and not self._at(TokenType.CLOSE_TAG):
+            expr = self._parse_expression()
+        self._end_statement()
+        return ast.ReturnStatement(line=line, expr=expr)
+
+    def _parse_throw(self) -> ast.ThrowStatement:
+        line = self.lines[self.pos]
+        self.pos += 1
+        expr = self._parse_expression()
+        self._end_statement()
+        return ast.ThrowStatement(line=line, expr=expr)
+
+    def _parse_goto(self) -> ast.GotoStatement:
+        line = self.lines[self.pos]
+        self.pos += 1
+        label = self._expect(TokenType.STRING)
+        self._end_statement()
+        return ast.GotoStatement(line=line, label=label)
 
     def _end_statement(self) -> None:
         """Consume the terminating ``;`` (a ``?>`` also terminates)."""
@@ -458,33 +482,19 @@ class Parser:
             return
         if self._at(TokenType.CLOSE_TAG) or self._at(TokenType.EOF):
             return
-        raise self._error(
-            f"expected ';', found {self._peek().name} {self._peek().value!r}"
-        )
+        raise self._error(f"expected ';', found {self._found()}")
 
     def _parse_statement_list_until(self, *closers: str) -> List[ast.Statement]:
         """Parse statements until a closing char token or closing keyword."""
-        closer_types = {
-            TokenType.ENDIF,
-            TokenType.ENDWHILE,
-            TokenType.ENDFOR,
-            TokenType.ENDFOREACH,
-            TokenType.ENDSWITCH,
-            TokenType.ENDDECLARE,
-            TokenType.ELSE,
-            TokenType.ELSEIF,
-            TokenType.CASE,
-            TokenType.DEFAULT,
-        }
         statements: List[ast.Statement] = []
+        types, values = self.types, self.values
         while True:
-            token = self.tokens[self.pos]
-            type_ = token.type
+            type_ = types[self.pos]
             if type_ is TokenType.EOF:
                 break
-            if type_ is TokenType.CHAR and token.value in closers:
+            if type_ is TokenType.CHAR and values[self.pos] in closers:
                 break
-            if closers and not closers[0] == "}" and type_ in closer_types:
+            if closers and not closers[0] == "}" and type_ in _LIST_CLOSER_TYPES:
                 break
             if closers == ("}",) and type_ in (
                 TokenType.CASE,
@@ -508,7 +518,7 @@ class Parser:
             self._next()
             body: List[ast.Statement] = []
             stop = set(end_keywords) | {TokenType.ELSE, TokenType.ELSEIF}
-            while not self._at(TokenType.EOF) and self._peek().type not in stop:
+            while not self._at(TokenType.EOF) and self.types[self.pos] not in stop:
                 statement = self._parse_statement_recovering()
                 if statement is not None:
                     body.append(statement)
@@ -532,7 +542,8 @@ class Parser:
         return expr
 
     def _parse_if(self) -> ast.IfStatement:
-        line = self._expect(TokenType.IF).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.IF)
         cond = self._parse_paren_expression()
         alternative = self._at_char(":")
         then = self._parse_body(TokenType.ENDIF)
@@ -540,16 +551,18 @@ class Parser:
         otherwise: Optional[List[ast.Statement]] = None
         while True:
             if self._at(TokenType.ELSEIF):
-                clause_line = self._next().line
+                clause_line = self.lines[self.pos]
+                self._next()
                 clause_cond = self._parse_paren_expression()
                 clause_body = self._parse_body(TokenType.ENDIF)
                 elseifs.append(
                     ast.ElseIfClause(line=clause_line, cond=clause_cond, body=clause_body)
                 )
                 continue
-            if self._at(TokenType.ELSE) and self._peek(1).type is TokenType.IF:
+            if self._at(TokenType.ELSE) and self._type_at(1) is TokenType.IF:
                 # `else if` treated as elseif with a nested parse
-                clause_line = self._next().line
+                clause_line = self.lines[self.pos]
+                self._next()
                 self._next()
                 clause_cond = self._parse_paren_expression()
                 clause_body = self._parse_body(TokenType.ENDIF)
@@ -569,7 +582,8 @@ class Parser:
         )
 
     def _parse_while(self) -> ast.WhileStatement:
-        line = self._expect(TokenType.WHILE).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.WHILE)
         cond = self._parse_paren_expression()
         alternative = self._at_char(":")
         body = self._parse_body(TokenType.ENDWHILE)
@@ -579,7 +593,8 @@ class Parser:
         return ast.WhileStatement(line=line, cond=cond, body=body)
 
     def _parse_do_while(self) -> ast.DoWhileStatement:
-        line = self._expect(TokenType.DO).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.DO)
         body = self._parse_body()
         self._expect(TokenType.WHILE)
         cond = self._parse_paren_expression()
@@ -596,7 +611,8 @@ class Parser:
         return exprs
 
     def _parse_for(self) -> ast.ForStatement:
-        line = self._expect(TokenType.FOR).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.FOR)
         self._expect_char("(")
         init = self._parse_expr_list_until(";")
         self._expect_char(";")
@@ -612,17 +628,18 @@ class Parser:
         return ast.ForStatement(line=line, init=init, cond=cond, update=update, body=body)
 
     def _parse_foreach(self) -> ast.ForeachStatement:
-        line = self._expect(TokenType.FOREACH).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.FOREACH)
         self._expect_char("(")
         subject = self._parse_expression()
         self._expect(TokenType.AS)
-        by_ref = self._accept_char("&") is not None
+        by_ref = self._accept_char("&")
         first = self._parse_expression()
         key_var: Optional[ast.Expr] = None
         value_var = first
         if self._accept(TokenType.DOUBLE_ARROW):
             key_var = first
-            by_ref = self._accept_char("&") is not None
+            by_ref = self._accept_char("&")
             value_var = self._parse_expression()
         self._expect_char(")")
         alternative = self._at_char(":")
@@ -640,7 +657,8 @@ class Parser:
         )
 
     def _parse_switch(self) -> ast.SwitchStatement:
-        line = self._expect(TokenType.SWITCH).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.SWITCH)
         subject = self._parse_paren_expression()
         alternative = False
         if self._accept_char("{"):
@@ -655,19 +673,20 @@ class Parser:
                 break
             if self._accept_char(";"):
                 continue
-            token = self._peek()
-            if token.type is TokenType.CASE:
+            case_line = self.lines[self.pos]
+            type_ = self.types[self.pos]
+            if type_ is TokenType.CASE:
                 self._next()
                 test: Optional[ast.Expr] = self._parse_expression()
-            elif token.type is TokenType.DEFAULT:
+            elif type_ is TokenType.DEFAULT:
                 self._next()
                 test = None
             else:
-                raise self._error(f"expected case/default, found {token.name}")
+                raise self._error(f"expected case/default, found {type_.value}")
             if not self._accept_char(":"):
                 self._accept_char(";")
             body = self._parse_statement_list_until("}")
-            cases.append(ast.SwitchCase(line=token.line, test=test, body=body))
+            cases.append(ast.SwitchCase(line=case_line, test=test, body=body))
         if alternative:
             self._expect(TokenType.ENDSWITCH)
             self._end_statement()
@@ -676,26 +695,29 @@ class Parser:
         return ast.SwitchStatement(line=line, subject=subject, cases=cases)
 
     def _parse_break_continue(self, cls) -> ast.Statement:
-        token = self._next()
+        line = self.lines[self.pos]
+        self._next()
         level = 1
         if self._at(TokenType.LNUMBER):
-            level = int(self._next().value, 0)
+            level = int(self._next(), 0)
         self._end_statement()
-        return cls(line=token.line, level=level)
+        return cls(line=line, level=level)
 
     def _parse_global(self) -> ast.GlobalStatement:
-        line = self._expect(TokenType.GLOBAL).line
-        names = [self._expect(TokenType.VARIABLE).value[1:]]
+        line = self.lines[self.pos]
+        self._expect(TokenType.GLOBAL)
+        names = [self._expect(TokenType.VARIABLE)[1:]]
         while self._accept_char(","):
-            names.append(self._expect(TokenType.VARIABLE).value[1:])
+            names.append(self._expect(TokenType.VARIABLE)[1:])
         self._end_statement()
         return ast.GlobalStatement(line=line, names=names)
 
     def _parse_static_vars(self) -> ast.StaticVarStatement:
-        line = self._expect(TokenType.STATIC).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.STATIC)
         vars_: List = []
         while True:
-            name = self._expect(TokenType.VARIABLE).value[1:]
+            name = self._expect(TokenType.VARIABLE)[1:]
             default = None
             if self._accept_char("="):
                 default = self._parse_expression()
@@ -706,7 +728,8 @@ class Parser:
         return ast.StaticVarStatement(line=line, vars=vars_)
 
     def _parse_unset(self) -> ast.UnsetStatement:
-        line = self._expect(TokenType.UNSET).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.UNSET)
         self._expect_char("(")
         vars_ = self._parse_expr_list_until(")")
         self._expect_char(")")
@@ -714,18 +737,21 @@ class Parser:
         return ast.UnsetStatement(line=line, vars=vars_)
 
     def _parse_try(self) -> ast.TryStatement:
-        line = self._expect(TokenType.TRY).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.TRY)
         self._expect_char("{")
         body = self._parse_statement_list_until("}")
         self._expect_char("}")
         catches: List[ast.CatchClause] = []
         finally_body: Optional[List[ast.Statement]] = None
         while self._at(TokenType.CATCH):
-            catch_line = self._next().line
+            catch_line = self.lines[self.pos]
+            self._next()
             self._expect_char("(")
             class_name = self._parse_qualified_name()
-            var_token = self._accept(TokenType.VARIABLE)
-            var_name = var_token.value[1:] if var_token else ""
+            var_name = ""
+            if self._at(TokenType.VARIABLE):
+                var_name = self._next()[1:]
             self._expect_char(")")
             self._expect_char("{")
             catch_body = self._parse_statement_list_until("}")
@@ -735,7 +761,7 @@ class Parser:
                     line=catch_line, class_name=class_name, var_name=var_name, body=catch_body
                 )
             )
-        if self._at(TokenType.STRING) and self._peek().value.lower() == "finally":
+        if self._at(TokenType.STRING) and self.values[self.pos].lower() == "finally":
             self._next()
             self._expect_char("{")
             finally_body = self._parse_statement_list_until("}")
@@ -749,40 +775,43 @@ class Parser:
     def _is_function_declaration(self) -> bool:
         """Distinguish ``function name(...)`` from a closure expression."""
         offset = 1
-        if self._peek(offset).is_char("&"):
+        if self._char_at(offset, "&"):
             offset += 1
-        return self._peek(offset).type is TokenType.STRING
+        return self._type_at(offset) is TokenType.STRING
 
     def _parse_qualified_name(self) -> str:
         """Parse a possibly namespace-qualified name into one string."""
         parts: List[str] = []
         if self._accept(TokenType.NS_SEPARATOR):
             pass
+        types = self.types
         while True:
-            token = self._peek()
-            if token.type in (TokenType.STRING, TokenType.ARRAY, TokenType.STATIC):
-                parts.append(self._next().value)
+            type_ = types[self.pos]
+            if type_ is TokenType.STRING or type_ is TokenType.ARRAY or (
+                type_ is TokenType.STATIC
+            ):
+                parts.append(self._next())
             else:
                 break
             if not self._accept(TokenType.NS_SEPARATOR):
                 break
         if not parts:
-            raise self._error(f"expected name, found {self._peek().name}")
+            raise self._error(f"expected name, found {types[self.pos].value}")
         return "\\".join(parts)
 
     def _parse_params(self) -> List[ast.Param]:
         self._expect_char("(")
         params: List[ast.Param] = []
         while not self._at_char(")") and not self._at(TokenType.EOF):
-            line = self._peek().line
+            line = self.lines[self.pos]
             type_hint: Optional[str] = None
             if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR):
                 type_hint = self._parse_qualified_name()
             elif self._at(TokenType.ARRAY):
-                type_hint = self._next().value
-            by_ref = self._accept_char("&") is not None
+                type_hint = self._next()
+            by_ref = self._accept_char("&")
             self._accept(TokenType.ELLIPSIS)
-            name = self._expect(TokenType.VARIABLE).value[1:]
+            name = self._expect(TokenType.VARIABLE)[1:]
             default = None
             if self._accept_char("="):
                 default = self._parse_expression()
@@ -797,9 +826,10 @@ class Parser:
         return params
 
     def _parse_function_declaration(self) -> ast.FunctionDecl:
-        line = self._expect(TokenType.FUNCTION).line
-        by_ref = self._accept_char("&") is not None
-        name = self._expect(TokenType.STRING).value
+        line = self.lines[self.pos]
+        self._expect(TokenType.FUNCTION)
+        by_ref = self._accept_char("&")
+        name = self._expect(TokenType.STRING)
         params = self._parse_params()
         self._expect_char("{")
         body = self._parse_statement_list_until("}")
@@ -816,17 +846,18 @@ class Parser:
                 is_final = True
             else:
                 break
-        token = self._peek()
-        if token.type is TokenType.CLASS:
+        type_ = self.types[self.pos]
+        if type_ is TokenType.CLASS:
             kind = "class"
-        elif token.type is TokenType.INTERFACE:
+        elif type_ is TokenType.INTERFACE:
             kind = "interface"
-        elif token.type is TokenType.TRAIT:
+        elif type_ is TokenType.TRAIT:
             kind = "trait"
         else:
-            raise self._error(f"expected class/interface/trait, found {token.name}")
-        line = self._next().line
-        name = self._expect(TokenType.STRING).value
+            raise self._error(f"expected class/interface/trait, found {type_.value}")
+        line = self.lines[self.pos]
+        self._next()
+        name = self._expect(TokenType.STRING)
         parent: Optional[str] = None
         interfaces: List[str] = []
         if self._accept(TokenType.EXTENDS):
@@ -870,8 +901,8 @@ class Parser:
         if self._at(TokenType.CONST):
             self._next()
             while True:
-                const_line = self._peek().line
-                const_name = self._expect(TokenType.STRING).value
+                const_line = self.lines[self.pos]
+                const_name = self._expect(TokenType.STRING)
                 self._expect_char("=")
                 value = self._parse_expression()
                 decl.constants.append(
@@ -887,34 +918,35 @@ class Parser:
         abstract = False
         final = False
         while True:
-            token = self._peek()
-            if token.type in (TokenType.PUBLIC, TokenType.VAR):
+            type_ = self.types[self.pos]
+            if type_ is TokenType.PUBLIC or type_ is TokenType.VAR:
                 visibility = "public"
                 self._next()
-            elif token.type is TokenType.PROTECTED:
+            elif type_ is TokenType.PROTECTED:
                 visibility = "protected"
                 self._next()
-            elif token.type is TokenType.PRIVATE:
+            elif type_ is TokenType.PRIVATE:
                 visibility = "private"
                 self._next()
-            elif token.type is TokenType.STATIC:
+            elif type_ is TokenType.STATIC:
                 static = True
                 self._next()
-            elif token.type is TokenType.ABSTRACT:
+            elif type_ is TokenType.ABSTRACT:
                 abstract = True
                 self._next()
-            elif token.type is TokenType.FINAL:
+            elif type_ is TokenType.FINAL:
                 final = True
                 self._next()
             else:
                 break
 
         if self._at(TokenType.FUNCTION):
-            line = self._next().line
-            by_ref = self._accept_char("&") is not None
-            name_token = self._peek()
-            if name_token.type is TokenType.STRING or name_token.type.value.startswith("T_"):
-                name = self._next().value
+            line = self.lines[self.pos]
+            self._next()
+            by_ref = self._accept_char("&")
+            name_type = self.types[self.pos]
+            if name_type is TokenType.STRING or name_type.value.startswith("T_"):
+                name = self._next()
             else:
                 raise self._error("expected method name")
             params = self._parse_params()
@@ -941,8 +973,8 @@ class Parser:
 
         if self._at(TokenType.VARIABLE):
             while True:
-                line = self._peek().line
-                name = self._expect(TokenType.VARIABLE).value[1:]
+                line = self.lines[self.pos]
+                name = self._expect(TokenType.VARIABLE)[1:]
                 default = None
                 if self._accept_char("="):
                     default = self._parse_expression()
@@ -960,10 +992,13 @@ class Parser:
             self._end_statement()
             return
 
-        raise self._error(f"unexpected token in class body: {self._peek().name}")
+        raise self._error(
+            f"unexpected token in class body: {self.types[self.pos].value}"
+        )
 
     def _parse_namespace(self) -> ast.NamespaceStatement:
-        line = self._expect(TokenType.NAMESPACE).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.NAMESPACE)
         name = ""
         if self._at(TokenType.STRING):
             name = self._parse_qualified_name()
@@ -975,11 +1010,12 @@ class Parser:
         return ast.NamespaceStatement(line=line, name=name, body=None)
 
     def _parse_use(self) -> ast.UseStatement:
-        line = self._expect(TokenType.USE).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.USE)
         name = self._parse_qualified_name()
         alias = None
         if self._accept(TokenType.AS):
-            alias = self._expect(TokenType.STRING).value
+            alias = self._expect(TokenType.STRING)
         while self._accept_char(","):
             self._parse_qualified_name()
             if self._accept(TokenType.AS):
@@ -988,10 +1024,11 @@ class Parser:
         return ast.UseStatement(line=line, name=name, alias=alias)
 
     def _parse_const(self) -> ast.ConstStatement:
-        line = self._expect(TokenType.CONST).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.CONST)
         consts: List = []
         while True:
-            name = self._expect(TokenType.STRING).value
+            name = self._expect(TokenType.STRING)
             self._expect_char("=")
             value = self._parse_expression()
             consts.append((name, value))
@@ -1001,11 +1038,12 @@ class Parser:
         return ast.ConstStatement(line=line, consts=consts)
 
     def _parse_declare(self) -> ast.DeclareStatement:
-        line = self._expect(TokenType.DECLARE).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.DECLARE)
         self._expect_char("(")
         directives: List = []
         while not self._at_char(")"):
-            name = self._expect(TokenType.STRING).value
+            name = self._expect(TokenType.STRING)
             self._expect_char("=")
             value = self._parse_expression()
             directives.append((name, value))
@@ -1022,164 +1060,121 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------
 
-    def _parse_expression(self) -> ast.Expr:
-        # `and`/`or`/`xor` bind looser than `=` in PHP, so they sit
-        # above the assignment level.
-        left = self._parse_assignment()
-        while True:
-            token = self.tokens[self.pos]
-            type_ = token.type
-            if type_ is TokenType.LOGICAL_AND:
-                op = "and"
-            elif type_ is TokenType.LOGICAL_OR:
-                op = "or"
-            elif type_ is TokenType.LOGICAL_XOR:
-                op = "xor"
-            else:
-                return left
-            self.pos += 1
-            right = self._parse_assignment()
-            left = ast.Binary(line=token.line, op=op, left=left, right=right)
+    def _parse_expression(self, min_level: int = _LOGICAL) -> ast.Expr:
+        """Precedence climbing over :data:`_CHAR_OPERATORS` and
+        :data:`_TOKEN_OPERATORS`: parse an operand, then fold in every
+        operator whose level is at least ``min_level``.
 
-    def _parse_assignment(self) -> ast.Expr:
-        left = self._parse_ternary()
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR:
-            if token.value != "=":
-                return left
-            self.pos += 1
-            by_ref = self._accept_char("&") is not None
-            value = self._parse_assignment()
-            return ast.Assignment(
-                line=token.line, target=left, value=value, op="=", by_ref=by_ref
-            )
-        compound = _COMPOUND_ASSIGN.get(token.type)
-        if compound is not None:
-            self.pos += 1
-            value = self._parse_assignment()
-            return ast.Assignment(
-                line=token.line,
-                target=left,
-                value=value,
-                op=compound + "=",
-            )
-        return left
-
-    def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(4)
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR and token.value == "?":
-            line = token.line
-            self.pos += 1
-            if self._accept_char(":"):
-                if_false = self._parse_assignment()
-                return ast.Ternary(line=line, cond=cond, if_true=None, if_false=if_false)
-            if_true = self._parse_assignment()
-            self._expect_char(":")
-            if_false = self._parse_assignment()
-            return ast.Ternary(line=line, cond=cond, if_true=if_true, if_false=if_false)
-        return cond
-
-    def _binary_op_at(self) -> Optional[str]:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR and token.value in "+-*/%.&|^<>":
-            # exclude chars that terminate expressions
-            return token.value
-        return _BINARY_TOKEN_SPELLING.get(token.type)
-
-    def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        Binary operators take a right operand one level tighter (their
+        own level when right-associative).  The three loosest levels
+        are not binary: an assignment's value and both arms of a
+        ternary are parsed at :data:`_ASSIGN`, and so is each operand
+        of ``and``/``or``/``xor``.
+        """
         left = self._parse_unary()
-        tokens = self.tokens
-        precedence_get = _BINARY_PRECEDENCE.get
-        spelling_get = _BINARY_TOKEN_SPELLING.get
+        types = self.types
+        values = self.values
+        char_type = TokenType.CHAR
+        char_operators_get = _CHAR_OPERATORS.get
+        token_operators_get = _TOKEN_OPERATORS.get
         while True:
-            token = tokens[self.pos]
-            type_ = token.type
-            if type_ is TokenType.CHAR:
-                op = token.value
-                if op not in "+-*/%.&|^<>":
-                    # exclude chars that terminate expressions
-                    return left
+            pos = self.pos
+            type_ = types[pos]
+            if type_ is char_type:
+                entry = char_operators_get(values[pos])
             else:
-                op = spelling_get(type_)
-                if op is None:
-                    return left
-            precedence = precedence_get(op)
-            if precedence is None or precedence < min_precedence:
+                entry = token_operators_get(type_)
+            if entry is None:
                 return left
-            self.pos += 1
-            if op == "instanceof":
-                class_name: Union[str, ast.Expr]
-                if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR):
-                    class_name = self._parse_qualified_name()
+            level, op = entry
+            if level < min_level:
+                return left
+            line = self.lines[pos]
+            self.pos = pos + 1
+            if level >= _BINARY:
+                if op == "instanceof":
+                    class_name: Union[str, ast.Expr]
+                    if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR):
+                        class_name = self._parse_qualified_name()
+                    else:
+                        class_name = self._parse_unary()
+                    left = ast.InstanceofExpr(line=line, expr=left, class_name=class_name)
+                    continue
+                right = self._parse_expression(
+                    level if op in _RIGHT_ASSOC else level + 1
+                )
+                left = ast.Binary(line=line, op=op, left=left, right=right)
+            elif level == _TERNARY:
+                if self._accept_char(":"):
+                    if_true = None
                 else:
-                    class_name = self._parse_unary()
-                left = ast.InstanceofExpr(line=token.line, expr=left, class_name=class_name)
-                continue
-            next_min = precedence if op in _RIGHT_ASSOC else precedence + 1
-            right = self._parse_binary(next_min)
-            left = ast.Binary(line=token.line, op=op, left=left, right=right)
+                    if_true = self._parse_expression(_ASSIGN)
+                    self._expect_char(":")
+                if_false = self._parse_expression(_ASSIGN)
+                left = ast.Ternary(line=line, cond=left, if_true=if_true, if_false=if_false)
+            elif level == _ASSIGN:
+                if op == "=":
+                    by_ref = self._accept_char("&")
+                    value = self._parse_expression(_ASSIGN)
+                    left = ast.Assignment(
+                        line=line, target=left, value=value, op="=", by_ref=by_ref
+                    )
+                else:
+                    value = self._parse_expression(_ASSIGN)
+                    left = ast.Assignment(line=line, target=left, value=value, op=op)
+            else:  # and / or / xor
+                right = self._parse_expression(_ASSIGN)
+                left = ast.Binary(line=line, op=op, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.tokens[self.pos]
-        type_ = token.type
+        pos = self.pos
+        type_ = self.types[pos]
         if type_ is TokenType.CHAR:
-            value = token.value
-            if value == "!" or value == "-" or value == "+" or value == "~":
-                self.pos += 1
+            value = self.values[pos]
+            if value == "!" or value == "-" or value == "+" or value == "~" or value == "@":
+                self.pos = pos + 1
                 operand = self._parse_unary()
-                return ast.Unary(line=token.line, op=value, operand=operand)
-            if value == "@":
-                self.pos += 1
-                operand = self._parse_unary()
-                return ast.Unary(line=token.line, op="@", operand=operand)
+                return ast.Unary(line=self.lines[pos], op=value, operand=operand)
             return self._parse_postfix_operators(self._parse_primary())
         if type_ not in _UNARY_PREFIX_TYPES:
             return self._parse_postfix_operators(self._parse_primary())
-        if type_ in _CAST_NAMES:
-            self.pos += 1
-            operand = self._parse_unary()
-            return ast.Cast(line=token.line, to=_CAST_NAMES[type_], operand=operand)
-        if type_ is TokenType.INC or type_ is TokenType.DEC:
-            self.pos += 1
-            target = self._parse_unary()
-            return ast.IncDec(line=token.line, op=token.value, target=target, prefix=True)
-        if type_ in _INCLUDE_KINDS:
-            self.pos += 1
-            path = self._parse_expression()
-            return ast.IncludeExpr(line=token.line, kind=_INCLUDE_KINDS[type_], path=path)
-        if type_ is TokenType.PRINT:
-            self.pos += 1
-            expr = self._parse_expression()
-            return ast.PrintExpr(line=token.line, expr=expr)
-        if type_ is TokenType.THROW:
-            self.pos += 1
-            expr = self._parse_expression()
-            return ast.Unary(line=token.line, op="throw", operand=expr)
         if type_ is TokenType.NEW:
             return self._parse_new()
+        line = self.lines[pos]
+        self.pos = pos + 1
+        if type_ in _CAST_NAMES:
+            operand = self._parse_unary()
+            return ast.Cast(line=line, to=_CAST_NAMES[type_], operand=operand)
+        if type_ is TokenType.INC or type_ is TokenType.DEC:
+            target = self._parse_unary()
+            return ast.IncDec(line=line, op=self.values[pos], target=target, prefix=True)
+        if type_ in _INCLUDE_KINDS:
+            path = self._parse_expression()
+            return ast.IncludeExpr(line=line, kind=_INCLUDE_KINDS[type_], path=path)
+        if type_ is TokenType.PRINT:
+            return ast.PrintExpr(line=line, expr=self._parse_expression())
+        if type_ is TokenType.THROW:
+            return ast.Unary(line=line, op="throw", operand=self._parse_expression())
         if type_ is TokenType.CLONE:
-            self.pos += 1
-            expr = self._parse_unary()
-            return ast.Clone(line=token.line, expr=expr)
-        if type_ is TokenType.EXIT:
-            self.pos += 1
-            expr = None
-            if self._accept_char("("):
-                if not self._at_char(")"):
-                    expr = self._parse_expression()
-                self._expect_char(")")
-            return ast.ExitExpr(line=token.line, expr=expr)
-        return self._parse_postfix()
+            return ast.Clone(line=line, expr=self._parse_unary())
+        # EXIT, the last prefix type
+        expr = None
+        if self._accept_char("("):
+            if not self._at_char(")"):
+                expr = self._parse_expression()
+            self._expect_char(")")
+        return ast.ExitExpr(line=line, expr=expr)
 
     def _parse_new(self) -> ast.Expr:
-        line = self._expect(TokenType.NEW).line
+        line = self.lines[self.pos]
+        self._expect(TokenType.NEW)
         class_name: Union[str, ast.Expr]
-        if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR) or self._at(
-            TokenType.STATIC
+        type_ = self.types[self.pos]
+        if type_ is TokenType.STRING or type_ is TokenType.NS_SEPARATOR or (
+            type_ is TokenType.STATIC
         ):
             class_name = self._parse_qualified_name()
-        elif self._at(TokenType.VARIABLE):
+        elif type_ is TokenType.VARIABLE:
             class_name = self._parse_postfix()
         else:
             raise self._error("expected class name after new")
@@ -1206,106 +1201,107 @@ class Parser:
         return self._parse_postfix_operators(node)
 
     def _parse_postfix_operators(self, node: ast.Expr) -> ast.Expr:  # noqa: C901
-        tokens = self.tokens
+        types = self.types
+        values = self.values
         while True:
-            token = tokens[self.pos]
-            type_ = token.type
+            pos = self.pos
+            type_ = types[pos]
             if type_ is TokenType.CHAR:
-                value = token.value
+                value = values[pos]
                 if value == "[":
-                    self.pos += 1
+                    self.pos = pos + 1
                     index: Optional[ast.Expr] = None
                     if not self._at_char("]"):
                         index = self._parse_expression()
                     self._expect_char("]")
-                    node = ast.ArrayAccess(line=token.line, array=node, index=index)
+                    node = ast.ArrayAccess(line=self.lines[pos], array=node, index=index)
                     continue
                 if value == "(" and isinstance(
                     node, (ast.Variable, ast.ArrayAccess, ast.PropertyAccess)
                 ):
                     args = self._parse_call_args()
-                    node = ast.FunctionCall(line=token.line, name=node, args=args)
+                    node = ast.FunctionCall(line=self.lines[pos], name=node, args=args)
                     continue
                 if value == "{" and isinstance(
                     node, (ast.Variable, ast.ArrayAccess, ast.PropertyAccess)
                 ):
                     # string offset access $str{0} (PHP5) — treat as array access
-                    self.pos += 1
+                    self.pos = pos + 1
                     index = self._parse_expression()
                     self._expect_char("}")
-                    node = ast.ArrayAccess(line=token.line, array=node, index=index)
+                    node = ast.ArrayAccess(line=self.lines[pos], array=node, index=index)
                     continue
                 return node
             if type_ is TokenType.OBJECT_OPERATOR:
-                self.pos += 1
+                self.pos = pos + 1
                 name = self._parse_member_name()
                 if self._at_char("("):
                     args = self._parse_call_args()
                     node = ast.MethodCall(
-                        line=token.line, object=node, method=name, args=args
+                        line=self.lines[pos], object=node, method=name, args=args
                     )
                 else:
-                    node = ast.PropertyAccess(line=token.line, object=node, name=name)
+                    node = ast.PropertyAccess(line=self.lines[pos], object=node, name=name)
                 continue
             if type_ is TokenType.DOUBLE_COLON:
+                line = self.lines[pos]
                 class_name = self._static_class_name(node)
-                self._next()
+                self.pos = pos + 1
                 if self._at(TokenType.VARIABLE):
-                    prop = self._next().value[1:]
+                    prop = self._next()[1:]
                     if self._at_char("("):
                         args = self._parse_call_args()
                         node = ast.StaticCall(
-                            line=token.line,
+                            line=line,
                             class_name=class_name,
-                            method=ast.Variable(line=token.line, name=prop),
+                            method=ast.Variable(line=line, name=prop),
                             args=args,
                         )
                     else:
                         node = ast.StaticPropertyAccess(
-                            line=token.line, class_name=class_name, name=prop
+                            line=line, class_name=class_name, name=prop
                         )
                     continue
-                if self._at(TokenType.CLASS):
-                    self._next()
-                    node = ast.ClassConstAccess(
-                        line=token.line, class_name=class_name, name="class"
-                    )
+                if self._accept(TokenType.CLASS):
+                    node = ast.ClassConstAccess(line=line, class_name=class_name, name="class")
                     continue
                 member = self._parse_member_name()
                 if self._at_char("("):
                     args = self._parse_call_args()
                     node = ast.StaticCall(
-                        line=token.line, class_name=class_name, method=member, args=args
+                        line=line, class_name=class_name, method=member, args=args
                     )
                 else:
                     if not isinstance(member, str):
                         raise self._error("dynamic class constant access")
-                    node = ast.ClassConstAccess(
-                        line=token.line, class_name=class_name, name=member
-                    )
+                    node = ast.ClassConstAccess(line=line, class_name=class_name, name=member)
                 continue
             if type_ is TokenType.INC or type_ is TokenType.DEC:
-                self.pos += 1
-                node = ast.IncDec(line=token.line, op=token.value, target=node, prefix=False)
+                self.pos = pos + 1
+                node = ast.IncDec(
+                    line=self.lines[pos], op=values[pos], target=node, prefix=False
+                )
                 continue
             return node
 
     def _parse_member_name(self) -> Union[str, ast.Expr]:
-        token = self._peek()
-        if token.type is TokenType.STRING or (
-            token.type.value.startswith("T_") and token.value.isidentifier()
+        pos = self.pos
+        type_ = self.types[pos]
+        value = self.values[pos]
+        if type_ is TokenType.STRING or (
+            type_.value.startswith("T_") and value.isidentifier()
         ):
             self._next()
-            return token.value
-        if token.type is TokenType.VARIABLE:
+            return value
+        if type_ is TokenType.VARIABLE:
             self._next()
-            return ast.Variable(line=token.line, name=token.value[1:])
-        if token.is_char("{"):
+            return ast.Variable(line=self.lines[pos], name=value[1:])
+        if type_ is TokenType.CHAR and value == "{":
             self._next()
             expr = self._parse_expression()
             self._expect_char("}")
             return expr
-        raise self._error(f"expected member name, found {token.name}")
+        raise self._error(f"expected member name, found {type_.value}")
 
     def _static_class_name(self, node: ast.Expr) -> str:
         if isinstance(node, ast.ConstFetch):
@@ -1315,83 +1311,85 @@ class Parser:
         raise self._error("expected class name before '::'")
 
     def _parse_primary(self) -> ast.Expr:  # noqa: C901
-        token = self.tokens[self.pos]
-        type_ = token.type
+        pos = self.pos
+        type_ = self.types[pos]
+        line = self.lines[pos]
 
         if type_ is TokenType.VARIABLE:
-            self.pos += 1
-            return ast.Variable(line=token.line, name=token.value[1:])
+            self.pos = pos + 1
+            return ast.Variable(line=line, name=self.values[pos][1:])
         if type_ is TokenType.CONSTANT_ENCAPSED_STRING:
-            self.pos += 1
-            raw = token.value
+            self.pos = pos + 1
+            raw = self.values[pos]
             if raw.startswith("'"):
                 value: object = unescape_single_quoted(raw)
             else:
                 value = unescape_double_quoted(raw[1:-1])
-            return ast.Literal(line=token.line, value=value, raw=raw)
+            return ast.Literal(line=line, value=value, raw=raw)
         if type_ is TokenType.CHAR:
-            char = token.value
+            char = self.values[pos]
             if char == "(":
-                self.pos += 1
+                self.pos = pos + 1
                 expr = self._parse_expression()
                 self._expect_char(")")
                 return expr
             if char == "[":
-                self.pos += 1
-                return self._parse_array_items(token.line, "]")
+                self.pos = pos + 1
+                return self._parse_array_items(line, "]")
             if char == '"':
                 return self._parse_interpolated('"')
             if char == "$":
-                self.pos += 1
-                if self._at_char("{"):
-                    self.pos += 1
+                self.pos = pos + 1
+                if self._accept_char("{"):
                     expr = self._parse_expression()
                     self._expect_char("}")
-                    return ast.VariableVariable(line=token.line, expr=expr)
+                    return ast.VariableVariable(line=line, expr=expr)
                 inner = self._parse_primary()
-                return ast.VariableVariable(line=token.line, expr=inner)
+                return ast.VariableVariable(line=line, expr=inner)
             if char == "`":
                 node = self._parse_interpolated("`")
                 return ast.ShellExec(line=node.line, parts=node.parts)
             if char == "&":
                 # reference in expression position: &$var — transparent for taint
-                self.pos += 1
+                self.pos = pos + 1
                 return self._parse_postfix()
-            raise self._error(f"unexpected token {token.name} {token.value!r}")
+            raise self._error(f"unexpected token {self._found()}")
         if type_ is TokenType.STRING:
             name = self._parse_qualified_name()
             if self._at_char("("):
                 args = self._parse_call_args()
-                return ast.FunctionCall(line=token.line, name=name, args=args)
-            return ast.ConstFetch(line=token.line, name=name)
+                return ast.FunctionCall(line=line, name=name, args=args)
+            return ast.ConstFetch(line=line, name=name)
         if type_ is TokenType.LNUMBER:
-            self.pos += 1
+            self.pos = pos + 1
+            raw = self.values[pos]
             try:
-                value = int(token.value, 0)
+                value = int(raw, 0)
             except ValueError:
-                value = int(token.value)
-            return ast.Literal(line=token.line, value=value, raw=token.value)
+                value = int(raw)
+            return ast.Literal(line=line, value=value, raw=raw)
         if type_ is TokenType.DNUMBER:
-            self.pos += 1
-            return ast.Literal(line=token.line, value=float(token.value), raw=token.value)
+            self.pos = pos + 1
+            raw = self.values[pos]
+            return ast.Literal(line=line, value=float(raw), raw=raw)
         if type_ is TokenType.START_HEREDOC:
             return self._parse_heredoc()
-        if type_ is TokenType.ARRAY and self._peek(1).is_char("("):
-            self.pos += 1
-            return self._parse_array_literal(token.line, ")")
+        if type_ is TokenType.ARRAY and self._char_at(1, "("):
+            self.pos = pos + 1
+            return self._parse_array_literal(line, ")")
         if type_ is TokenType.ISSET:
             self._next()
             self._expect_char("(")
             vars_ = self._parse_expr_list_until(")")
             self._expect_char(")")
-            return ast.IssetExpr(line=token.line, vars=vars_)
-        if token.type is TokenType.EMPTY:
+            return ast.IssetExpr(line=line, vars=vars_)
+        if type_ is TokenType.EMPTY:
             self._next()
             self._expect_char("(")
             expr = self._parse_expression()
             self._expect_char(")")
-            return ast.EmptyExpr(line=token.line, expr=expr)
-        if token.type is TokenType.LIST:
+            return ast.EmptyExpr(line=line, expr=expr)
+        if type_ is TokenType.LIST:
             self._next()
             self._expect_char("(")
             targets: List[Optional[ast.Expr]] = []
@@ -1403,33 +1401,26 @@ class Parser:
                 if not self._accept_char(","):
                     break
             self._expect_char(")")
-            return ast.ListExpr(line=token.line, targets=targets)
-        if token.type is TokenType.FUNCTION:
+            return ast.ListExpr(line=line, targets=targets)
+        if type_ is TokenType.FUNCTION:
             return self._parse_closure(static=False)
-        if token.type is TokenType.STATIC and self._peek(1).type is TokenType.FUNCTION:
+        if type_ is TokenType.STATIC and self._type_at(1) is TokenType.FUNCTION:
             self._next()
             return self._parse_closure(static=True)
-        if token.type is TokenType.STATIC and self._peek(1).type is TokenType.DOUBLE_COLON:
+        if type_ is TokenType.STATIC and self._type_at(1) is TokenType.DOUBLE_COLON:
             self._next()
-            return ast.ConstFetch(line=token.line, name="static")
-        if token.type in (
-            TokenType.NS_SEPARATOR,
-            TokenType.FILE,
-            TokenType.LINE,
-            TokenType.DIR,
-            TokenType.FUNC_C,
-            TokenType.CLASS_C,
-            TokenType.METHOD_C,
-        ):
-            name = self._parse_qualified_name() if token.type is (
-                TokenType.NS_SEPARATOR
-            ) else self._next().value
+            return ast.ConstFetch(line=line, name="static")
+        if type_ in _NAME_CONSTANT_TYPES:
+            if type_ is TokenType.NS_SEPARATOR:
+                name = self._parse_qualified_name()
+            else:
+                name = self._next()
             if self._at_char("("):
                 args = self._parse_call_args()
-                return ast.FunctionCall(line=token.line, name=name, args=args)
-            return ast.ConstFetch(line=token.line, name=name)
+                return ast.FunctionCall(line=line, name=name, args=args)
+            return ast.ConstFetch(line=line, name=name)
 
-        raise self._error(f"unexpected token {token.name} {token.value!r}")
+        raise self._error(f"unexpected token {self._found()}")
 
     def _parse_array_literal(self, line: int, closer: str) -> ast.ArrayLiteral:
         self._expect_char("(")
@@ -1438,11 +1429,11 @@ class Parser:
     def _parse_array_items(self, line: int, closer: str) -> ast.ArrayLiteral:
         items: List[ast.ArrayItem] = []
         while not self._at_char(closer) and not self._at(TokenType.EOF):
-            item_line = self._peek().line
-            by_ref = self._accept_char("&") is not None
+            item_line = self.lines[self.pos]
+            by_ref = self._accept_char("&")
             first = self._parse_expression()
             if self._accept(TokenType.DOUBLE_ARROW):
-                value_by_ref = self._accept_char("&") is not None
+                value_by_ref = self._accept_char("&")
                 value = self._parse_expression()
                 items.append(
                     ast.ArrayItem(line=item_line, key=first, value=value, by_ref=value_by_ref)
@@ -1455,17 +1446,17 @@ class Parser:
         return ast.ArrayLiteral(line=line, items=items)
 
     def _parse_closure(self, static: bool) -> ast.Closure:
-        line = self._expect(TokenType.FUNCTION).line
-        by_ref = self._accept_char("&") is not None
+        line = self.lines[self.pos]
+        self._expect(TokenType.FUNCTION)
+        by_ref = self._accept_char("&")
         params = self._parse_params()
         uses: List[ast.ClosureUse] = []
-        if self._at(TokenType.USE):
-            self._next()
+        if self._accept(TokenType.USE):
             self._expect_char("(")
             while not self._at_char(")"):
-                use_line = self._peek().line
-                use_by_ref = self._accept_char("&") is not None
-                use_name = self._expect(TokenType.VARIABLE).value[1:]
+                use_line = self.lines[self.pos]
+                use_by_ref = self._accept_char("&")
+                use_name = self._expect(TokenType.VARIABLE)[1:]
                 uses.append(ast.ClosureUse(line=use_line, name=use_name, by_ref=use_by_ref))
                 if not self._accept_char(","):
                     break
@@ -1478,79 +1469,118 @@ class Parser:
         )
 
     def _parse_interpolated(self, delimiter: str) -> ast.InterpolatedString:
-        line = self._expect_char(delimiter).line
-        parts = self._parse_interpolation_parts(lambda: self._at_char(delimiter))
+        line = self.lines[self.pos]
+        self._expect_char(delimiter)
+        parts = self._parse_interpolation_parts(TokenType.CHAR, delimiter)
         self._expect_char(delimiter)
         return ast.InterpolatedString(line=line, parts=parts)
 
     def _parse_heredoc(self) -> ast.InterpolatedString:
-        line = self._expect(TokenType.START_HEREDOC).line
-        parts = self._parse_interpolation_parts(lambda: self._at(TokenType.END_HEREDOC))
+        line = self.lines[self.pos]
+        self._expect(TokenType.START_HEREDOC)
+        parts = self._parse_interpolation_parts(TokenType.END_HEREDOC, "")
         self._expect(TokenType.END_HEREDOC)
         return ast.InterpolatedString(line=line, parts=parts)
 
-    def _parse_interpolation_parts(self, at_end) -> List[ast.Expr]:
+    def _parse_interpolation_parts(
+        self, end_type: TokenType, end_char: str
+    ) -> List[ast.Expr]:
+        """String parts up to the ``end_type`` token (a CHAR token only
+        when its value is ``end_char``)."""
+        types, values, lines = self.types, self.values, self.lines
         parts: List[ast.Expr] = []
-        while not at_end() and not self._at(TokenType.EOF):
-            token = self._peek()
-            if token.type is TokenType.ENCAPSED_AND_WHITESPACE:
-                self._next()
+        while True:
+            pos = self.pos
+            type_ = types[pos]
+            if type_ is TokenType.EOF or (
+                type_ is end_type and (not end_char or values[pos] == end_char)
+            ):
+                return parts
+            value = values[pos]
+            line = lines[pos]
+            if type_ is TokenType.ENCAPSED_AND_WHITESPACE:
+                self.pos = pos + 1
                 parts.append(
-                    ast.Literal(
-                        line=token.line,
-                        value=unescape_double_quoted(token.value),
-                        raw=token.value,
-                    )
+                    ast.Literal(line=line, value=unescape_double_quoted(value), raw=value)
                 )
                 continue
-            if token.type is TokenType.VARIABLE:
-                self._next()
-                node: ast.Expr = ast.Variable(line=token.line, name=token.value[1:])
+            if type_ is TokenType.VARIABLE:
+                self.pos = pos + 1
+                node: ast.Expr = ast.Variable(line=line, name=value[1:])
                 # simple interpolation suffixes: [index] and ->prop
-                if self._at_char("["):
+                if self._accept_char("["):
+                    index_pos = self.pos
+                    index_type = types[index_pos]
+                    index_value = values[index_pos]
+                    index_line = lines[index_pos]
                     self._next()
-                    index_token = self._next()
                     index: Optional[ast.Expr]
-                    if index_token.type is TokenType.VARIABLE:
-                        index = ast.Variable(
-                            line=index_token.line, name=index_token.value[1:]
-                        )
-                    elif index_token.type is TokenType.NUM_STRING:
+                    if index_type is TokenType.VARIABLE:
+                        index = ast.Variable(line=index_line, name=index_value[1:])
+                    elif index_type is TokenType.NUM_STRING:
                         index = ast.Literal(
-                            line=index_token.line,
-                            value=int(index_token.value),
-                            raw=index_token.value,
+                            line=index_line, value=int(index_value), raw=index_value
                         )
                     else:
-                        index = ast.Literal(
-                            line=index_token.line,
-                            value=index_token.value,
-                            raw=index_token.value,
-                        )
+                        index = ast.Literal(line=index_line, value=index_value, raw=index_value)
                     self._expect_char("]")
-                    node = ast.ArrayAccess(line=token.line, array=node, index=index)
-                elif self._at(TokenType.OBJECT_OPERATOR):
-                    self._next()
-                    prop = self._expect(TokenType.STRING).value
-                    node = ast.PropertyAccess(line=token.line, object=node, name=prop)
+                    node = ast.ArrayAccess(line=line, array=node, index=index)
+                elif self._accept(TokenType.OBJECT_OPERATOR):
+                    prop = self._expect(TokenType.STRING)
+                    node = ast.PropertyAccess(line=line, object=node, name=prop)
                 parts.append(node)
                 continue
-            if token.type is TokenType.CURLY_OPEN:
-                self._next()
+            if type_ is TokenType.CURLY_OPEN:
+                self.pos = pos + 1
                 expr = self._parse_expression()
                 self._expect_char("}")
                 parts.append(expr)
                 continue
-            if token.type is TokenType.DOLLAR_OPEN_CURLY_BRACES:
-                self._next()
+            if type_ is TokenType.DOLLAR_OPEN_CURLY_BRACES:
+                self.pos = pos + 1
                 expr = self._parse_expression()
                 self._expect_char("}")
-                parts.append(ast.VariableVariable(line=token.line, expr=expr))
+                parts.append(ast.VariableVariable(line=line, expr=expr))
                 continue
             raise self._error(
-                f"unexpected token in string interpolation: {token.name}"
+                f"unexpected token in string interpolation: {type_.value}"
             )
-        return parts
+
+
+#: statement keyword -> parser method, for the keywords whose statement
+#: form never depends on the next token (see ``_parse_statement``)
+_STATEMENT_PARSERS = {
+    TokenType.OPEN_TAG: Parser._skip_tag,
+    TokenType.CLOSE_TAG: Parser._skip_tag,
+    TokenType.OPEN_TAG_WITH_ECHO: Parser._parse_echo,
+    TokenType.ECHO: Parser._parse_echo,
+    TokenType.INLINE_HTML: Parser._parse_inline_html,
+    TokenType.IF: Parser._parse_if,
+    TokenType.WHILE: Parser._parse_while,
+    TokenType.DO: Parser._parse_do_while,
+    TokenType.FOR: Parser._parse_for,
+    TokenType.FOREACH: Parser._parse_foreach,
+    TokenType.SWITCH: Parser._parse_switch,
+    TokenType.BREAK: lambda parser: parser._parse_break_continue(ast.BreakStatement),
+    TokenType.CONTINUE: lambda parser: parser._parse_break_continue(
+        ast.ContinueStatement
+    ),
+    TokenType.RETURN: Parser._parse_return,
+    TokenType.GLOBAL: Parser._parse_global,
+    TokenType.UNSET: Parser._parse_unset,
+    TokenType.THROW: Parser._parse_throw,
+    TokenType.TRY: Parser._parse_try,
+    TokenType.ABSTRACT: Parser._parse_class_declaration,
+    TokenType.FINAL: Parser._parse_class_declaration,
+    TokenType.CLASS: Parser._parse_class_declaration,
+    TokenType.INTERFACE: Parser._parse_class_declaration,
+    TokenType.TRAIT: Parser._parse_class_declaration,
+    TokenType.NAMESPACE: Parser._parse_namespace,
+    TokenType.USE: Parser._parse_use,
+    TokenType.CONST: Parser._parse_const,
+    TokenType.DECLARE: Parser._parse_declare,
+    TokenType.GOTO: Parser._parse_goto,
+}
 
 
 def parse_source(

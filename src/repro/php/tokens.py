@@ -12,11 +12,18 @@ paper names explicitly (``T_VARIABLE``, ``T_GLOBAL``, ``T_RETURN``,
 Single-character punctuation is represented as a :class:`Token` whose type
 is :attr:`TokenType.CHAR` and whose value is the character itself, which
 keeps the stream homogeneous while preserving PHP's "bare string" tokens.
+
+The lexer does not allocate a :class:`Token` per token: it fills three
+parallel lists (types, values, lines) and hands them over as a
+:class:`TokenStream`, which the parser indexes directly and which builds
+a :class:`Token` only when a caller asks for one.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
+from typing import List
 
 
 class TokenType(enum.Enum):
@@ -301,11 +308,11 @@ CASTS = {
 class Token:
     """One lexical token: the paper's ``[id, value, line]`` triple.
 
-    A hand-rolled immutable class rather than a frozen dataclass: token
-    streams are the analyzer's highest-volume allocation, so instances
-    are slotted, and the hash (tokens key dedup/memo dicts, but most
-    tokens are never hashed at all) is computed lazily on first use and
-    cached instead of being paid eagerly in ``__init__``.
+    A hand-rolled immutable class rather than a frozen dataclass:
+    instances are slotted, and the hash (most tokens are never hashed)
+    is computed lazily on first use and cached instead of being paid
+    eagerly in ``__init__``.  The analysis path never builds one;
+    :class:`TokenStream` builds them on demand.
     """
 
     __slots__ = ("type", "value", "line", "_hash")
@@ -357,6 +364,46 @@ class Token:
 
     def __repr__(self) -> str:  # compact, mirrors the paper's example
         return f"[{self.name}, {self.value!r}, {self.line}]"
+
+
+class TokenStream(Sequence):
+    """The lexer's output: three parallel lists, read as tokens.
+
+    ``types[i]``, ``values[i]`` and ``lines[i]`` are the ``i``-th
+    token's type, value and line.  The lists end with one extra
+    :attr:`TokenType.EOF` entry (on the last token's line, ``0`` for an
+    empty stream) so the parser's ``types[pos]`` reads need no bounds
+    check; the sequence view hides it.  Indexing and iteration build an
+    immutable :class:`Token` per access, for callers that want token
+    objects (tests, the Pixy baseline, tooling) — the analysis path
+    reads the lists and never does.
+    """
+
+    __slots__ = ("types", "values", "lines")
+
+    def __init__(
+        self, types: List[TokenType], values: List[str], lines: List[int]
+    ) -> None:
+        self.types = types
+        self.values = values
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.types) - 1
+
+    def __getitem__(self, index):
+        size = len(self.types) - 1
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(size))]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("token index out of range")
+        return Token(self.types[index], self.values[index], self.lines[index])
+
+    def __iter__(self):
+        size = len(self.types) - 1
+        return map(Token, self.types[:size], self.values[:size], self.lines[:size])
 
 
 #: Token types that carry no program semantics and are dropped when the

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.php import PhpLexError, tokenize, tokenize_significant
-from repro.php.lexer import count_loc
-from repro.php.tokens import TokenType
+from repro.php.lexer import Lexer, count_loc
+from repro.php.tokens import Token, TokenType
 
 
 def types(source):
@@ -237,3 +237,175 @@ class TestLocCounter:
     def test_star_continuation_lines_skipped(self):
         source = "<?php\n/**\n * doc\n */\n$a;\n"
         assert count_loc(source) == 2
+
+
+#: Exact ``token_get_all``-style streams of the scanner's slow-path
+#: constructs: the master regex never matches these, so each one is
+#: proven here rather than by the corpora.  Triples are
+#: ``(TokenType member name, value, line)``.
+SLOW_PATH_STREAMS = {
+    "interpolated index": (
+        '<?php "a $a[0] b";',
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("CHAR", '"', 1),
+            ("ENCAPSED_AND_WHITESPACE", "a ", 1), ("VARIABLE", "$a", 1),
+            ("CHAR", "[", 1), ("NUM_STRING", "0", 1), ("CHAR", "]", 1),
+            ("ENCAPSED_AND_WHITESPACE", " b", 1), ("CHAR", '"', 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "interpolated property": (
+        '<?php "x $a->b y";',
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("CHAR", '"', 1),
+            ("ENCAPSED_AND_WHITESPACE", "x ", 1), ("VARIABLE", "$a", 1),
+            ("OBJECT_OPERATOR", "->", 1), ("STRING", "b", 1),
+            ("ENCAPSED_AND_WHITESPACE", " y", 1), ("CHAR", '"', 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "curly interpolation": (
+        '<?php "v {$x->y} w";',
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("CHAR", '"', 1),
+            ("ENCAPSED_AND_WHITESPACE", "v ", 1), ("CURLY_OPEN", "{", 1),
+            ("VARIABLE", "$x", 1), ("OBJECT_OPERATOR", "->", 1), ("STRING", "y", 1),
+            ("CHAR", "}", 1), ("ENCAPSED_AND_WHITESPACE", " w", 1), ("CHAR", '"', 1),
+            ("CHAR", ";", 1),
+        ],
+    ),
+    "dollar-curly interpolation": (
+        '<?php "p ${z} q";',
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("CHAR", '"', 1),
+            ("ENCAPSED_AND_WHITESPACE", "p ", 1), ("DOLLAR_OPEN_CURLY_BRACES", "${", 1),
+            ("STRING", "z", 1), ("CHAR", "}", 1), ("ENCAPSED_AND_WHITESPACE", " q", 1),
+            ("CHAR", '"', 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "heredoc": (
+        "<?php $h = <<<EOT\nHi $name\n  {$o->p}\nEOT;\n",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("VARIABLE", "$h", 1),
+            ("WHITESPACE", " ", 1), ("CHAR", "=", 1), ("WHITESPACE", " ", 1),
+            ("START_HEREDOC", "<<<EOT", 1), ("ENCAPSED_AND_WHITESPACE", "Hi ", 2),
+            ("VARIABLE", "$name", 2), ("ENCAPSED_AND_WHITESPACE", "\n  ", 2),
+            ("CURLY_OPEN", "{", 3), ("VARIABLE", "$o", 3), ("OBJECT_OPERATOR", "->", 3),
+            ("STRING", "p", 3), ("CHAR", "}", 3), ("ENCAPSED_AND_WHITESPACE", "\n", 3),
+            ("END_HEREDOC", "EOT", 4), ("CHAR", ";", 4), ("WHITESPACE", "\n", 4),
+        ],
+    ),
+    "nowdoc": (
+        "<?php $n = <<<'EOT'\nraw $x\nEOT;\n",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("VARIABLE", "$n", 1),
+            ("WHITESPACE", " ", 1), ("CHAR", "=", 1), ("WHITESPACE", " ", 1),
+            ("START_HEREDOC", "<<<'EOT'", 1), ("ENCAPSED_AND_WHITESPACE", "raw $x\n", 2),
+            ("END_HEREDOC", "EOT", 3), ("CHAR", ";", 3), ("WHITESPACE", "\n", 3),
+        ],
+    ),
+    "backticks": (
+        "<?php `ls $dir`;",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("CHAR", "`", 1),
+            ("ENCAPSED_AND_WHITESPACE", "ls ", 1), ("VARIABLE", "$dir", 1),
+            ("CHAR", "`", 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "variable variable": (
+        "<?php $$v;",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("CHAR", "$", 1),
+            ("VARIABLE", "$v", 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "spaced cast": (
+        "<?php ( int )$a;",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("INT_CAST", "( int )", 1),
+            ("VARIABLE", "$a", 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "leading-dot float": (
+        "<?php $f = .5;",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("VARIABLE", "$f", 1),
+            ("WHITESPACE", " ", 1), ("CHAR", "=", 1), ("WHITESPACE", " ", 1),
+            ("DNUMBER", ".5", 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "<<< that is not a heredoc": (
+        "<?php $a <<< 3;",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("VARIABLE", "$a", 1),
+            ("WHITESPACE", " ", 1), ("SL", "<<", 1), ("CHAR", "<", 1),
+            ("WHITESPACE", " ", 1), ("LNUMBER", "3", 1), ("CHAR", ";", 1),
+        ],
+    ),
+    "namespace separators": (
+        "<?php \\Foo\\bar();",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("NS_SEPARATOR", "\\", 1),
+            ("STRING", "Foo", 1), ("NS_SEPARATOR", "\\", 1), ("STRING", "bar", 1),
+            ("CHAR", "(", 1), ("CHAR", ")", 1), ("CHAR", ";", 1),
+        ],
+    ),
+}
+
+#: recover-mode streams: ``(source, triples, incident (reason, line)s)``
+RECOVERED_STREAMS = {
+    "unterminated heredoc": (
+        "<?php $h = <<<EOT\nabc $x\n",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("VARIABLE", "$h", 1),
+            ("WHITESPACE", " ", 1), ("CHAR", "=", 1), ("WHITESPACE", " ", 1),
+            ("START_HEREDOC", "<<<EOT", 1), ("ENCAPSED_AND_WHITESPACE", "abc ", 2),
+            ("VARIABLE", "$x", 2), ("ENCAPSED_AND_WHITESPACE", "\n", 2),
+            ("END_HEREDOC", "", 3),
+        ],
+        [("unterminated heredoc <<<EOT", 1)],
+    ),
+    # an unclosed /* is not a comment to this scanner: the master
+    # regex's bare-char branch takes the "/" (pinned, not endorsed)
+    "unterminated block comment": (
+        "<?php $a; /* open\n$b;",
+        [
+            ("OPEN_TAG", "<?php", 1), ("WHITESPACE", " ", 1), ("VARIABLE", "$a", 1),
+            ("CHAR", ";", 1), ("WHITESPACE", " ", 1), ("CHAR", "/", 1), ("CHAR", "*", 1),
+            ("WHITESPACE", " ", 1), ("STRING", "open", 1), ("WHITESPACE", "\n", 1),
+            ("VARIABLE", "$b", 2), ("CHAR", ";", 2),
+        ],
+        [],
+    ),
+}
+
+
+def _triples(tokens):
+    return [(token.type.name, token.value, token.line) for token in tokens]
+
+
+class TestSlowPathStreams:
+    @pytest.mark.parametrize("case", sorted(SLOW_PATH_STREAMS))
+    def test_exact_stream(self, case):
+        source, expected = SLOW_PATH_STREAMS[case]
+        assert _triples(tokenize(source)) == expected
+
+    @pytest.mark.parametrize("case", sorted(SLOW_PATH_STREAMS))
+    def test_significant_stream_is_the_trivia_free_subset(self, case):
+        source, expected = SLOW_PATH_STREAMS[case]
+        trivia = {"WHITESPACE", "COMMENT", "DOC_COMMENT"}
+        assert _triples(tokenize_significant(source)) == [
+            triple for triple in expected if triple[0] not in trivia
+        ]
+
+    @pytest.mark.parametrize("case", sorted(RECOVERED_STREAMS))
+    def test_exact_recovered_stream(self, case):
+        source, expected, incidents = RECOVERED_STREAMS[case]
+        lexer = Lexer(source, "f.php", recover=True)
+        assert _triples(lexer.tokenize()) == expected
+        assert [(i.reason, i.line) for i in lexer.incidents] == incidents
+
+    def test_token_list_equals_reference_tokens(self):
+        # materializing the stream yields immutable Tokens equal (type,
+        # value and line) to the reference triples
+        for source, expected in SLOW_PATH_STREAMS.values():
+            reference = [Token(TokenType[name], value, line) for name, value, line in expected]
+            assert list(tokenize(source)) == reference

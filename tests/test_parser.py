@@ -392,3 +392,27 @@ class TestParserErrors:
             assert error.line == 2
         else:  # pragma: no cover
             raise AssertionError("expected PhpParseError")
+
+
+class TestDoubleQuotedEscapes:
+    def test_hex_octal_and_unicode_escapes(self):
+        assert parse_expr(r'"\x41\101\012\u{42}"').value == "AA\nB"
+
+    def test_octal_escape_wraps_to_a_byte(self):
+        assert parse_expr(r'"\400\0"').value == "\x00\x00"
+
+    def test_unknown_escapes_keep_their_backslash(self):
+        assert parse_expr(r'"\q\xZZ\u41"').value == "\\q\\xZZ\\u41"
+
+    def test_escaped_backslash_is_not_an_escape_prefix(self):
+        assert parse_expr(r'"\\x41"').value == "\\x41"
+
+    def test_heredoc_parts_decode_escapes(self):
+        (stmt,) = parse("$h = <<<EOT\n\\x41 $a\\101\nEOT;\n")
+        parts = stmt.expr.value.parts
+        assert parts[0].value == "A "
+        assert parts[2].value == "A\n"
+
+    def test_single_quoted_escapes(self):
+        assert parse_expr(r"'a\'b\\c\n'").value == "a'b\\c\\n"
+        assert parse_expr("'plain'").value == "plain"

@@ -134,3 +134,26 @@ class TestPlugin:
         (tmp_path / "main.php").write_text("<?php $a;")
         loaded = Plugin.load_from(str(tmp_path))
         assert list(loaded.files) == ["main.php"]
+
+
+class TestReportSeconds:
+    """Every ``PhpSafe`` entry point times its own scan."""
+
+    SOURCE = "<?php\nfunction f() { echo $_GET['q']; }\n"
+
+    def test_analyze_source_sets_seconds(self):
+        from repro.core import PhpSafe
+
+        report = PhpSafe(use_process_cache=False).analyze_source(self.SOURCE)
+        assert report.findings and report.seconds > 0
+
+    def test_analyze_and_rescan_set_seconds(self):
+        from repro.core import PhpSafe
+
+        plugin = Plugin(name="p", files={"p.php": self.SOURCE})
+        tool = PhpSafe(use_process_cache=False)
+        assert tool.analyze(plugin).seconds > 0
+        full, manifest, _stats = tool.rescan(plugin)
+        assert full.seconds > 0
+        incremental, _manifest, _stats = tool.rescan(plugin, manifest)
+        assert incremental.seconds > 0

@@ -426,19 +426,16 @@ class TestStreamingScan:
         assert summary.peak_cache_bytes <= cap
         assert summary.findings == MINI.expected_findings  # unaffected
 
-    def test_spill_tokens_drops_tokens_not_findings(self):
+    def test_file_models_hold_no_tokens(self):
+        # the token stream lives only for the parse: neither a fresh
+        # model nor a cached one keeps it
         plugin = next(iter_stress_plugins(MINI))
-        spilled = PluginModel.build(plugin, spill_tokens=True)
-        assert all(not fm.tokens for fm in spilled.files.values())
-        kept = PluginModel.build(plugin)
-        assert any(fm.tokens for fm in kept.files.values())
-        base = PhpSafe(options=PhpSafeOptions(), use_process_cache=False)
-        spilling = PhpSafe(
-            options=PhpSafeOptions(spill_tokens=True), use_process_cache=False
-        )
-        assert finding_signatures([base.analyze(plugin)]) == finding_signatures(
-            [spilling.analyze(plugin)]
-        )
+        cache = ModelCache()
+        for model in (PluginModel.build(plugin, cache=cache),
+                      PluginModel.build(plugin, cache=cache)):
+            assert model.files
+            assert not any(hasattr(fm, "tokens") for fm in model.files.values())
+        assert cache.stats.hits == len(model.files)
 
     def test_streaming_accumulating_parity_paper_corpus(self, tmp_path):
         # fast tier-1 parity on the paper corpus; the scale-smoke CI job
