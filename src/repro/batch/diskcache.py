@@ -8,7 +8,9 @@ model (and every cached parse *failure*) is also written to
 ``cache_dir/objects/<aa>/<sha256>.pkl``, and a memory miss probes disk
 before re-parsing.  Because objects are keyed by a content digest, the
 store needs no invalidation — a changed file simply hashes to a new
-object — and writes are atomic (temp file + ``os.replace``), so any
+object, and a front-end change bumps
+:data:`~repro.core.cache.FRONTEND_FORMAT` so older objects miss — and
+writes are atomic (temp file + ``os.replace``), so any
 number of worker processes can share one cache directory.
 
 The memory tier keeps its ``max_entries`` (and, when configured,

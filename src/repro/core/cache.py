@@ -4,9 +4,9 @@ phpSAFE, mainly regarding performance, memory consumption").
 Parsing dominates re-scan cost when a plugin is analyzed repeatedly
 (CI on every commit, the history workflow, the evaluation harness's
 timing repetitions).  :class:`ModelCache` memoizes the per-file
-model-construction products — token stream, AST, LOC, include list —
-keyed by a content hash, so an unchanged file is never re-lexed or
-re-parsed.  ASTs are treated as immutable by the analysis stage, so
+model-construction products — AST, node index, LOC, include list —
+keyed by a content hash and the front end's output format, so an
+unchanged file is never re-lexed or re-parsed.  ASTs are treated as immutable by the analysis stage, so
 sharing them across runs is safe.
 
 Eviction is true LRU: a lookup hit refreshes the entry's recency, and
@@ -77,8 +77,18 @@ def approx_slot_bytes(slot: "_Slot") -> int:
     return approx_object_bytes(model if model is not None else error)
 
 
+#: Version of the file models the front end builds.  It is part of
+#: every parse-cache key, so a persistent cache written by an older
+#: front end misses and the file is re-parsed instead of serving a
+#: stale model.  Bump it whenever the lexer or parser changes its
+#: output.  ``fe2``: double-quoted escapes decode and a FileModel holds
+#: no tokens.
+FRONTEND_FORMAT = "fe2"
+
+
 def content_key(path: str, source: str, variant: str = "") -> str:
-    """Cache key: path + content digest (path matters for includes).
+    """Cache key: path + front-end format + content digest (path
+    matters for includes).
 
     ``variant`` distinguishes parse modes sharing one cache: a file
     parsed with panic-mode recovery produces a different model (partial
@@ -87,8 +97,8 @@ def content_key(path: str, source: str, variant: str = "") -> str:
     """
     digest = hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
     if variant:
-        return f"{path}:{variant}:{digest}"
-    return f"{path}:{digest}"
+        return f"{path}:{variant}:{FRONTEND_FORMAT}:{digest}"
+    return f"{path}:{FRONTEND_FORMAT}:{digest}"
 
 
 def summary_key(fingerprint: str, function_key: str, digest: str) -> str:

@@ -421,7 +421,7 @@ class Parser:
                 return None
             if char == "{":
                 self.pos = pos + 1
-                body = self._parse_statement_list_until("}")
+                body = self._parse_block_statements()
                 self._expect_char("}")
                 return ast.Block(line=self.lines[pos], statements=body)
         elif type_ is TokenType.STATIC:
@@ -484,23 +484,18 @@ class Parser:
             return
         raise self._error(f"expected ';', found {self._found()}")
 
-    def _parse_statement_list_until(self, *closers: str) -> List[ast.Statement]:
-        """Parse statements until a closing char token or closing keyword."""
+    def _parse_block_statements(self) -> List[ast.Statement]:
+        """Parse the statements of a ``{...}`` block up to its ``}``
+        (also stopping at a stray ``case``/``default``/``endswitch``)."""
         statements: List[ast.Statement] = []
         types, values = self.types, self.values
         while True:
             type_ = types[self.pos]
             if type_ is TokenType.EOF:
                 break
-            if type_ is TokenType.CHAR and values[self.pos] in closers:
+            if type_ is TokenType.CHAR and values[self.pos] == "}":
                 break
-            if closers and not closers[0] == "}" and type_ in _LIST_CLOSER_TYPES:
-                break
-            if closers == ("}",) and type_ in (
-                TokenType.CASE,
-                TokenType.DEFAULT,
-                TokenType.ENDSWITCH,
-            ):
+            if type_ in (TokenType.CASE, TokenType.DEFAULT, TokenType.ENDSWITCH):
                 break
             statement = self._parse_statement_recovering()
             if statement is not None:
@@ -511,7 +506,7 @@ class Parser:
         """Parse a statement body: ``{...}``, ``: ... endX;`` or single stmt."""
         if self._at_char("{"):
             self._next()
-            body = self._parse_statement_list_until("}")
+            body = self._parse_block_statements()
             self._expect_char("}")
             return body
         if self._at_char(":"):
@@ -685,7 +680,7 @@ class Parser:
                 raise self._error(f"expected case/default, found {type_.value}")
             if not self._accept_char(":"):
                 self._accept_char(";")
-            body = self._parse_statement_list_until("}")
+            body = self._parse_block_statements()
             cases.append(ast.SwitchCase(line=case_line, test=test, body=body))
         if alternative:
             self._expect(TokenType.ENDSWITCH)
@@ -740,7 +735,7 @@ class Parser:
         line = self.lines[self.pos]
         self._expect(TokenType.TRY)
         self._expect_char("{")
-        body = self._parse_statement_list_until("}")
+        body = self._parse_block_statements()
         self._expect_char("}")
         catches: List[ast.CatchClause] = []
         finally_body: Optional[List[ast.Statement]] = None
@@ -754,7 +749,7 @@ class Parser:
                 var_name = self._next()[1:]
             self._expect_char(")")
             self._expect_char("{")
-            catch_body = self._parse_statement_list_until("}")
+            catch_body = self._parse_block_statements()
             self._expect_char("}")
             catches.append(
                 ast.CatchClause(
@@ -764,7 +759,7 @@ class Parser:
         if self._at(TokenType.STRING) and self.values[self.pos].lower() == "finally":
             self._next()
             self._expect_char("{")
-            finally_body = self._parse_statement_list_until("}")
+            finally_body = self._parse_block_statements()
             self._expect_char("}")
         return ast.TryStatement(
             line=line, body=body, catches=catches, finally_body=finally_body
@@ -832,7 +827,7 @@ class Parser:
         name = self._expect(TokenType.STRING)
         params = self._parse_params()
         self._expect_char("{")
-        body = self._parse_statement_list_until("}")
+        body = self._parse_block_statements()
         self._expect_char("}")
         return ast.FunctionDecl(line=line, name=name, params=params, body=body, by_ref=by_ref)
 
@@ -952,7 +947,7 @@ class Parser:
             params = self._parse_params()
             body: Optional[List[ast.Statement]] = None
             if self._accept_char("{"):
-                body = self._parse_statement_list_until("}")
+                body = self._parse_block_statements()
                 self._expect_char("}")
             else:
                 self._end_statement()
@@ -1003,7 +998,7 @@ class Parser:
         if self._at(TokenType.STRING):
             name = self._parse_qualified_name()
         if self._accept_char("{"):
-            body = self._parse_statement_list_until("}")
+            body = self._parse_block_statements()
             self._expect_char("}")
             return ast.NamespaceStatement(line=line, name=name, body=body)
         self._end_statement()
@@ -1052,7 +1047,7 @@ class Parser:
         self._expect_char(")")
         body: Optional[List[ast.Statement]] = None
         if self._accept_char("{"):
-            body = self._parse_statement_list_until("}")
+            body = self._parse_block_statements()
             self._expect_char("}")
         else:
             self._accept_char(";")
@@ -1462,7 +1457,7 @@ class Parser:
                     break
             self._expect_char(")")
         self._expect_char("{")
-        body = self._parse_statement_list_until("}")
+        body = self._parse_block_statements()
         self._expect_char("}")
         return ast.Closure(
             line=line, params=params, uses=uses, body=body, static=static, by_ref=by_ref

@@ -1,6 +1,8 @@
 """Tests for the incremental parse cache (memory LRU + disk tier) and
 the process-wide L1 artifact cache."""
 
+import hashlib
+
 from repro.batch import DiskModelCache
 from repro.core import ModelCache, PhpSafe
 from repro.core.cache import content_key
@@ -185,6 +187,33 @@ class TestDiskModelCache:
         fresh = DiskModelCache(cache_dir)
         assert fresh.lookup("a.php", SOURCE) == (None, None)
         assert fresh.stats.misses == 1
+
+    def test_model_from_older_front_end_is_not_served(self, tmp_path):
+        # A store written before the front-end format entered the key
+        # (``path:digest``) holds models that carry their token list
+        # and leave "\x41" undecoded; they must miss and be re-parsed.
+        cache_dir = str(tmp_path / "cache")
+        source = '<?php echo "\\x41";'
+        fresh = PluginModel.build(
+            Plugin(name="p", files={"a.php": source})
+        ).files["a.php"]
+        stale_source = '<?php echo "\\\\x41";'  # parses to the old value
+        stale = PluginModel.build(
+            Plugin(name="p", files={"a.php": stale_source})
+        ).files["a.php"]
+        stale.source = source
+        stale.tokens = ["stale token"]
+        old_key = "a.php:" + hashlib.sha256(source.encode()).hexdigest()
+        DiskModelCache(cache_dir)._write_object(old_key, (stale, None))
+        cache = DiskModelCache(cache_dir)
+        model = PluginModel.build(
+            Plugin(name="p", files={"a.php": source}), cache=cache
+        )
+        served = model.files["a.php"]
+        assert cache.stats.disk_hits == 0 and cache.stats.misses == 1
+        assert not hasattr(served, "tokens")
+        assert repr(served.tree) == repr(fresh.tree)
+        assert served.tree.statements[0].exprs[0].value == "A"
 
     def test_clear_drops_disk_tier(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "cache"))
