@@ -311,8 +311,10 @@ class Scope:
     __slots__ = (
         "name",
         "records",
+        "written",
         "global_aliases",
         "ref_groups",
+        "may_refs",
         "static_names",
         "static_slots",
         "is_global_image",
@@ -321,14 +323,24 @@ class Scope:
     def __init__(self, name: str = "<main>") -> None:
         self.name = name
         self.records: Dict[str, VariableRecord] = {}
+        #: names bound since this scope was copied (by :meth:`set` or a
+        #: join's rebind); every other name still holds the record object
+        #: it was copied with, which is what lets a join skip it
+        self.written: Set[str] = set()
         #: names bound to the global scope via ``global $x`` — writes to
         #: these are mirrored into the global scope
         self.global_aliases: Set[str] = set()
         #: reference-alias groups from ``$b =& $a``: every member maps to
-        #: one shared frozenset of the names denoting the same storage
-        #: slot.  Groups are immutable — a new union rebuilds the set —
+        #: the frozenset of the names denoting the same storage slot on
+        #: every path (must-aliases; writes replace every member's
+        #: record).  Groups are immutable — a change rebuilds the set —
         #: so branch snapshots can share the mapping by shallow copy.
         self.ref_groups: Dict[str, FrozenSet[str]] = {}
+        #: may-aliases: a name maps to the names it shares a slot with on
+        #: some paths but not all (an alias made inside a branch or loop
+        #: body).  Symmetric, disjoint from the name's group; writes
+        #: through it are weak — they join into the member's record.
+        self.may_refs: Dict[str, FrozenSet[str]] = {}
         #: names declared ``static`` in this scope; writes to them are
         #: mirrored into the engine's per-function static slots
         self.static_names: Set[str] = set()
@@ -345,6 +357,7 @@ class Scope:
 
     def set(self, record: VariableRecord) -> None:
         self.records[record.name] = record
+        self.written.add(record.name)
 
     def copy(self) -> "Scope":
         # records are immutable in practice (writes rebind via
@@ -356,37 +369,51 @@ class Scope:
         clone = Scope.__new__(Scope)  # skip __init__: fields set below
         clone.name = self.name
         clone.records = dict(self.records)
+        clone.written = set()
         clone.global_aliases = set()
         # reference aliases and statics ARE inherited: they only affect
         # records inside the snapshot itself (joined back afterwards) or
         # monotone static slots, never an untaken path's global binding.
         clone.ref_groups = dict(self.ref_groups)
+        clone.may_refs = dict(self.may_refs)
         clone.static_names = set(self.static_names)
         clone.static_slots = self.static_slots
         clone.is_global_image = self.is_global_image
         return clone
 
     def join_from(self, *branches: "Scope") -> None:
-        """Merge branch outcomes into this scope (taint union)."""
-        names: Set[str] = set(self.records)
+        """Merge branch outcomes into this scope (taint union).
+
+        The scopes are copies of one pre-state, so a name none of them
+        wrote since holds the same record object in all of them and its
+        join is the identity: only the union of the written sets is
+        visited, which makes a join cost what the branches changed, not
+        the size of the scope.  Reference aliases and ``static``
+        declarations are joined by :meth:`_join_declarations`.
+        """
+        names = set(self.written)
         for branch in branches:
-            names.update(branch.records)
+            names |= branch.written
         scopes = (self, *branches)
+        records = self.records
         for name in names:
             variants = [
                 scope.records[name]
                 for scope in scopes
                 if name in scope.records
             ]
+            if not variants:
+                # written into the pre-state after the last snapshot was
+                # taken (see ``_exec_branches``): no outcome holds it
+                continue
             first = variants[0]
             for record in variants:
                 if record is not first:
                     break
             else:
-                # every path holds the same record object (name untouched
-                # in all branches): the join is the identity, so skip the
-                # rebind — taint states are interned, so this is exact
-                self.records[name] = first
+                # every path holds the same record object: the join is
+                # the identity — taint states are interned, so this is exact
+                records[name] = first
                 continue
             taint = first.taint
             for record in variants[1:]:
@@ -394,9 +421,51 @@ class Scope:
             class_name = join_class_names(
                 record.class_name or "" for record in variants
             )
-            self.records[name] = variants[-1].updated(
+            records[name] = variants[-1].updated(
                 taint=taint, class_name=class_name or None
             )
+        self.written = names
+        self._join_declarations(branches)
+
+    def _join_declarations(self, branches: Sequence["Scope"]) -> None:
+        """Join the paths' reference aliases and ``static`` declarations.
+
+        Two names stay must-aliases only if they share a slot on every
+        path (the intersection of their groups); a pair that shares one
+        on some paths only becomes a may-alias, so a write on one side
+        cannot erase the other side's value on the paths where the alias
+        does not hold.  Groups of different paths are never merged.
+        ``static`` declarations are a union (their slots only ever join).
+        """
+        scopes = (self, *branches)
+        if any(scope.ref_groups or scope.may_refs for scope in scopes):
+            names: Set[str] = set()
+            for scope in scopes:
+                names.update(scope.ref_groups)
+                names.update(scope.may_refs)
+            groups: Dict[str, FrozenSet[str]] = {}
+            may_refs: Dict[str, FrozenSet[str]] = {}
+            for name in names:
+                alone = frozenset((name,))
+                must = self.ref_groups.get(name, alone)
+                reach: Set[str] = set()
+                for scope in scopes:
+                    group = scope.ref_groups.get(name, alone)
+                    must &= group
+                    reach |= group
+                    reach.update(scope.may_refs.get(name, ()))
+                if len(must) > 1:
+                    groups[name] = must
+                reach -= must
+                if reach:
+                    may_refs[name] = frozenset(reach)
+            self.ref_groups = groups
+            self.may_refs = may_refs
+        for branch in branches:
+            if branch.static_names:
+                self.static_names |= branch.static_names
+                if self.static_slots is None:
+                    self.static_slots = branch.static_slots
 
 
 class BudgetExceeded(Exception):
@@ -1019,113 +1088,100 @@ class TaintEngine:
         for statement in statements:
             self._exec(statement, scope)
 
+    def _depth_fault(self) -> UnitFault:
+        return UnitFault(
+            f"evaluation depth limit ({self.options.max_eval_depth}) exceeded"
+        )
+
     def _exec(self, node: ast.Statement, scope: Scope) -> None:
         self._depth += 1
         try:
             if self.options.recover and self._depth > self.options.max_eval_depth:
-                raise UnitFault(
-                    f"evaluation depth limit ({self.options.max_eval_depth}) exceeded"
-                )
-            self._exec_dispatch(node, scope)
+                raise self._depth_fault()
+            self._tick()
+            handler = _STATEMENT_HANDLERS.get(node.__class__)
+            if handler is not None:
+                handler(self, node, scope)
         finally:
             self._depth -= 1
 
-    def _exec_dispatch(self, node: ast.Statement, scope: Scope) -> None:  # noqa: C901
-        self._tick()
-        if isinstance(node, ast.ExpressionStatement):
-            self._eval(node.expr, scope)
-        elif isinstance(node, ast.EchoStatement):
-            for expr in node.exprs:
-                self._check_xss_output(expr, scope, sink="echo")
-        elif isinstance(node, ast.InlineHTML):
-            pass
-        elif isinstance(node, ast.ErrorStmt):
-            # a hole left by panic-mode parser recovery: nothing to do
-            pass
-        elif isinstance(node, ast.Block):
-            self._exec_block(node.statements, scope)
-        elif isinstance(node, ast.IfStatement):
-            self._eval(node.cond, scope)
-            branches = [node.then]
-            for clause in node.elseifs:
-                self._eval(clause.cond, scope)
-                branches.append(clause.body)
-            if node.otherwise is not None:
-                branches.append(node.otherwise)
-            self._exec_branches(branches, scope, exhaustive=node.otherwise is not None)
-        elif isinstance(node, ast.WhileStatement):
-            self._eval(node.cond, scope)
-            self._exec_loop(node.body, scope)
-        elif isinstance(node, ast.DoWhileStatement):
-            self._exec_loop(node.body, scope)
-            self._eval(node.cond, scope)
-        elif isinstance(node, ast.ForStatement):
-            for expr in node.init:
-                self._eval(expr, scope)
-            for expr in node.cond:
-                self._eval(expr, scope)
-            self._exec_loop(node.body + [ast.ExpressionStatement(expr=e) for e in node.update],
-                            scope)
-        elif isinstance(node, ast.ForeachStatement):
-            self._exec_foreach(node, scope)
-        elif isinstance(node, ast.SwitchStatement):
-            self._eval(node.subject, scope)
-            has_default = any(case.test is None for case in node.cases)
-            # fallthrough: entering at case i runs every later case body
-            # too unless a ``break`` intervenes; ``break`` is not
-            # tracked, so each branch is the suffix starting at its case
-            # (an over-approximation the outcome join keeps sound)
-            bodies = [case.body for case in node.cases]
-            suffixes = [
-                [stmt for body in bodies[i:] for stmt in body]
-                for i in range(len(bodies))
-            ]
-            self._exec_branches(suffixes, scope, exhaustive=has_default)
-        elif isinstance(node, ast.ReturnStatement):
-            self._exec_return(node, scope)
-        elif isinstance(node, ast.GlobalStatement):
-            self._exec_global(node, scope)
-        elif isinstance(node, ast.StaticVarStatement):
-            self._exec_static_vars(node, scope)
-        elif isinstance(node, ast.UnsetStatement):
-            # T_UNSET: "the properties of the variable are updated as
-            # untainted and marked as non-vulnerable"
-            for var in node.vars:
-                if isinstance(var, ast.Variable):
-                    scope.set(
-                        VariableRecord(
-                            name=var.name, file=self._current_file, line=node.line
-                        )
+    def _exec_expression(self, node: ast.ExpressionStatement, scope: Scope) -> None:
+        self._eval(node.expr, scope)
+
+    def _exec_echo(self, node: ast.EchoStatement, scope: Scope) -> None:
+        for expr in node.exprs:
+            self._check_xss_output(expr, scope, sink="echo")
+
+    def _exec_nested(self, node: ast.Block, scope: Scope) -> None:
+        self._exec_block(node.statements, scope)
+
+    def _exec_optional_body(
+        self, node: Union[ast.NamespaceStatement, ast.DeclareStatement], scope: Scope
+    ) -> None:
+        if node.body is not None:
+            self._exec_block(node.body, scope)
+
+    def _exec_if(self, node: ast.IfStatement, scope: Scope) -> None:
+        self._eval(node.cond, scope)
+        branches = [node.then]
+        for clause in node.elseifs:
+            self._eval(clause.cond, scope)
+            branches.append(clause.body)
+        if node.otherwise is not None:
+            branches.append(node.otherwise)
+        self._exec_branches(branches, scope, exhaustive=node.otherwise is not None)
+
+    def _exec_while(self, node: ast.WhileStatement, scope: Scope) -> None:
+        self._eval(node.cond, scope)
+        self._exec_loop(node.body, scope)
+
+    def _exec_do_while(self, node: ast.DoWhileStatement, scope: Scope) -> None:
+        self._exec_loop(node.body, scope)
+        self._eval(node.cond, scope)
+
+    def _exec_for(self, node: ast.ForStatement, scope: Scope) -> None:
+        for expr in node.init:
+            self._eval(expr, scope)
+        for expr in node.cond:
+            self._eval(expr, scope)
+        self._exec_loop(
+            node.body + [ast.ExpressionStatement(expr=e) for e in node.update],
+            scope,
+        )
+
+    def _exec_switch(self, node: ast.SwitchStatement, scope: Scope) -> None:
+        self._eval(node.subject, scope)
+        has_default = any(case.test is None for case in node.cases)
+        # fallthrough: entering at case i runs every later case body
+        # too unless a ``break`` intervenes; ``break`` is not
+        # tracked, so each branch is the suffix starting at its case
+        # (an over-approximation the outcome join keeps sound)
+        bodies = [case.body for case in node.cases]
+        suffixes = [
+            [stmt for body in bodies[i:] for stmt in body]
+            for i in range(len(bodies))
+        ]
+        self._exec_branches(suffixes, scope, exhaustive=has_default)
+
+    def _exec_unset(self, node: ast.UnsetStatement, scope: Scope) -> None:
+        # T_UNSET: "the properties of the variable are updated as
+        # untainted and marked as non-vulnerable"
+        for var in node.vars:
+            if isinstance(var, ast.Variable):
+                scope.set(
+                    VariableRecord(
+                        name=var.name, file=self._current_file, line=node.line
                     )
-        elif isinstance(node, ast.ThrowStatement):
-            self._eval(node.expr, scope)
-        elif isinstance(node, ast.TryStatement):
-            branches = [node.body] + [catch.body for catch in node.catches]
-            self._exec_branches(branches, scope)
-            if node.finally_body is not None:
-                self._exec_block(node.finally_body, scope)
-        elif isinstance(node, (ast.FunctionDecl, ast.ClassDecl)):
-            pass  # declarations were collected by the model stage
-        elif isinstance(node, ast.NamespaceStatement):
-            if node.body is not None:
-                self._exec_block(node.body, scope)
-        elif isinstance(node, ast.DeclareStatement):
-            if node.body is not None:
-                self._exec_block(node.body, scope)
-        elif isinstance(
-            node,
-            (
-                ast.BreakStatement,
-                ast.ContinueStatement,
-                ast.UseStatement,
-                ast.ConstStatement,
-                ast.GotoStatement,
-                ast.LabelStatement,
-            ),
-        ):
-            pass
-        else:  # pragma: no cover - defensive
-            pass
+                )
+
+    def _exec_throw(self, node: ast.ThrowStatement, scope: Scope) -> None:
+        self._eval(node.expr, scope)
+
+    def _exec_try(self, node: ast.TryStatement, scope: Scope) -> None:
+        branches = [node.body] + [catch.body for catch in node.catches]
+        self._exec_branches(branches, scope)
+        if node.finally_body is not None:
+            self._exec_block(node.finally_body, scope)
 
     def _exec_branches(
         self,
@@ -1141,6 +1197,11 @@ class TaintEngine:
         then not a possible outcome and a variable cleaned on every
         branch really is clean afterwards.
         """
+        # the pre-state itself can be written while the branches run (a
+        # function called in a branch writes through ``global``), so the
+        # snapshots may differ in those names too: collect them apart
+        written_before = scope.written
+        scope.written = set()
         outcomes: List[Scope] = []
         for branch in branches:
             snapshot = scope.copy()
@@ -1148,17 +1209,27 @@ class TaintEngine:
             outcomes.append(snapshot)
         if not exhaustive:
             outcomes.append(scope.copy())
-        if outcomes:
-            joined = outcomes[0]
-            joined.join_from(*outcomes[1:])
-            scope.records = joined.records
+        joined = outcomes[0]
+        joined.written |= scope.written
+        joined.join_from(*outcomes[1:])
+        scope.records = joined.records
+        scope.ref_groups = joined.ref_groups
+        scope.may_refs = joined.may_refs
+        scope.static_names = joined.static_names
+        scope.static_slots = joined.static_slots
+        written_before |= joined.written
+        scope.written = written_before
 
     def _exec_loop(self, body: Sequence[ast.Statement], scope: Scope) -> None:
         """Two joined passes propagate loop-carried taint."""
+        written_before = scope.written
+        scope.written = set()  # pre-state writes while the body runs
         snapshot = scope.copy()
-        self._exec_block(list(body), snapshot)
-        self._exec_block(list(body), snapshot)
+        for _pass in range(2):
+            self._exec_block(body, snapshot)
         scope.join_from(snapshot)
+        written_before |= scope.written
+        scope.written = written_before
 
     def _exec_foreach(self, node: ast.ForeachStatement, scope: Scope) -> None:
         subject = self._eval(node.subject, scope)
@@ -1265,125 +1336,108 @@ class TaintEngine:
         self._depth += 1
         try:
             if self.options.recover and self._depth > self.options.max_eval_depth:
-                raise UnitFault(
-                    f"evaluation depth limit ({self.options.max_eval_depth}) exceeded"
-                )
-            return self._eval_dispatch(node, scope)
+                raise self._depth_fault()
+            self._tick()
+            handler = _EXPR_HANDLERS.get(node.__class__)
+            if handler is None:
+                return Value()  # absent operand or a _CLEAN_EXPRESSIONS node
+            return handler(self, node, scope)
         finally:
             self._depth -= 1
 
-    def _eval_dispatch(self, node: Optional[ast.Expr], scope: Scope) -> Value:  # noqa: C901
-        self._tick()
-        if node is None:
-            return Value.clean()
-        if isinstance(node, ast.Literal):
-            return Value.clean()
-        if isinstance(node, ast.Variable):
-            return self._eval_variable(node, scope)
-        if isinstance(node, ast.VariableVariable):
-            self._eval(node.expr, scope)
-            return Value.clean()
-        if isinstance(node, ast.InterpolatedString):
-            value = Value.clean()
-            for part in node.parts:
-                value = value.joined(self._eval(part, scope))
-            value.class_name = ""
-            return value
-        if isinstance(node, ast.ShellExec):
-            value = Value.clean()
-            for part in node.parts:
-                value = value.joined(self._eval(part, scope))
-            if (
-                VulnKind.CMDI in self.options.construct_kinds
-                and value.taint.active.get(VulnKind.CMDI)
-            ):
-                self._emit(
-                    SinkEvent(
-                        kind=VulnKind.CMDI,
-                        sink="`...`",
-                        file=self._current_file,
-                        line=node.line,
-                        variable=value.name_hint,
-                        taint=value.taint,
-                        trace=value.trace,
-                    )
+    def _eval_variable_variable(self, node: ast.VariableVariable, scope: Scope) -> Value:
+        self._eval(node.expr, scope)
+        return Value()
+
+    def _eval_parts(self, parts: Sequence[ast.Expr], scope: Scope) -> Value:
+        value = Value()
+        for part in parts:
+            value = value.joined(self._eval(part, scope))
+        return value
+
+    def _eval_interpolated(self, node: ast.InterpolatedString, scope: Scope) -> Value:
+        value = self._eval_parts(node.parts, scope)
+        value.class_name = ""
+        return value
+
+    def _eval_shell_exec(self, node: ast.ShellExec, scope: Scope) -> Value:
+        value = self._eval_parts(node.parts, scope)
+        if (
+            VulnKind.CMDI in self.options.construct_kinds
+            and value.taint.active.get(VulnKind.CMDI)
+        ):
+            self._emit(
+                SinkEvent(
+                    kind=VulnKind.CMDI,
+                    sink="`...`",
+                    file=self._current_file,
+                    line=node.line,
+                    variable=value.name_hint,
+                    taint=value.taint,
+                    trace=value.trace,
                 )
-            return value
-        if isinstance(node, ast.ArrayLiteral):
-            value = Value.clean()
-            for item in node.items:
-                if item.key is not None:
-                    value = value.joined(self._eval(item.key, scope))
-                value = value.joined(self._eval(item.value, scope))
-            value.class_name = ""
-            return value
-        if isinstance(node, ast.ArrayAccess):
-            return self._eval_array_access(node, scope)
-        if isinstance(node, ast.PropertyAccess):
-            return self._eval_property_access(node, scope)
-        if isinstance(node, ast.StaticPropertyAccess):
-            if self.options.oop:
-                self._note_prop_read(node.class_name, node.name)
-                return Value(taint=self.class_props.read(node.class_name, node.name))
-            return Value.clean()
-        if isinstance(node, (ast.ClassConstAccess, ast.ConstFetch)):
-            return Value.clean()
-        if isinstance(node, ast.Assignment):
-            return self._eval_assignment(node, scope)
-        if isinstance(node, ast.Binary):
-            return self._eval_binary(node, scope)
-        if isinstance(node, ast.Unary):
-            inner = self._eval(node.operand, scope)
-            if node.op in ("!", "-", "+", "~"):
-                return Value.clean()
-            return inner  # @-suppression and throw pass the value through
-        if isinstance(node, ast.Ternary):
-            self._eval(node.cond, scope)
-            left = (
-                self._eval(node.if_true, scope)
-                if node.if_true is not None
-                else self._eval(node.cond, scope)
             )
-            right = self._eval(node.if_false, scope)
-            return left.joined(right)
-        if isinstance(node, ast.Cast):
-            inner = self._eval(node.operand, scope)
-            if node.to in ("int", "float", "bool", "unset"):
-                return Value.clean()
-            return inner
-        if isinstance(node, ast.IncDec):
-            self._eval(node.target, scope)
-            return Value.clean()
-        if isinstance(node, (ast.IssetExpr, ast.EmptyExpr, ast.InstanceofExpr)):
-            return Value.clean()
-        if isinstance(node, ast.ListExpr):
-            value = Value.clean()
-            for target in node.targets:
-                if target is not None:
-                    value = value.joined(self._eval(target, scope))
-            return value
-        if isinstance(node, ast.Closure):
-            return Value.clean()
-        if isinstance(node, ast.FunctionCall):
-            return self._eval_function_call(node, scope)
-        if isinstance(node, ast.MethodCall):
-            return self._eval_method_call(node, scope)
-        if isinstance(node, ast.StaticCall):
-            return self._eval_static_call(node, scope)
-        if isinstance(node, ast.New):
-            return self._eval_new(node, scope)
-        if isinstance(node, ast.Clone):
-            return self._eval(node.expr, scope)
-        if isinstance(node, ast.IncludeExpr):
-            return self._eval_include(node, scope)
-        if isinstance(node, ast.ExitExpr):
-            if node.expr is not None:
-                self._check_xss_output(node.expr, scope, sink="exit")
-            return Value.clean()
-        if isinstance(node, ast.PrintExpr):
-            self._check_xss_output(node.expr, scope, sink="print")
-            return Value.clean()
-        return Value.clean()  # pragma: no cover - defensive
+        return value
+
+    def _eval_array_literal(self, node: ast.ArrayLiteral, scope: Scope) -> Value:
+        value = Value()
+        for item in node.items:
+            if item.key is not None:
+                value = value.joined(self._eval(item.key, scope))
+            value = value.joined(self._eval(item.value, scope))
+        value.class_name = ""
+        return value
+
+    def _eval_static_property(self, node: ast.StaticPropertyAccess, scope: Scope) -> Value:
+        if self.options.oop:
+            self._note_prop_read(node.class_name, node.name)
+            return Value(taint=self.class_props.read(node.class_name, node.name))
+        return Value()
+
+    def _eval_unary(self, node: ast.Unary, scope: Scope) -> Value:
+        inner = self._eval(node.operand, scope)
+        if node.op in ("!", "-", "+", "~"):
+            return Value()
+        return inner  # @-suppression and throw pass the value through
+
+    def _eval_ternary(self, node: ast.Ternary, scope: Scope) -> Value:
+        self._eval(node.cond, scope)
+        left = (
+            self._eval(node.if_true, scope)
+            if node.if_true is not None
+            else self._eval(node.cond, scope)
+        )
+        right = self._eval(node.if_false, scope)
+        return left.joined(right)
+
+    def _eval_cast(self, node: ast.Cast, scope: Scope) -> Value:
+        inner = self._eval(node.operand, scope)
+        if node.to in ("int", "float", "bool", "unset"):
+            return Value()
+        return inner
+
+    def _eval_incdec(self, node: ast.IncDec, scope: Scope) -> Value:
+        self._eval(node.target, scope)
+        return Value()
+
+    def _eval_list(self, node: ast.ListExpr, scope: Scope) -> Value:
+        value = Value()
+        for target in node.targets:
+            if target is not None:
+                value = value.joined(self._eval(target, scope))
+        return value
+
+    def _eval_clone(self, node: ast.Clone, scope: Scope) -> Value:
+        return self._eval(node.expr, scope)
+
+    def _eval_exit(self, node: ast.ExitExpr, scope: Scope) -> Value:
+        if node.expr is not None:
+            self._check_xss_output(node.expr, scope, sink="exit")
+        return Value()
+
+    def _eval_print(self, node: ast.PrintExpr, scope: Scope) -> Value:
+        self._check_xss_output(node.expr, scope, sink="print")
+        return Value()
 
     # -- variables, arrays, properties ------------------------------------
 
@@ -1502,17 +1556,37 @@ class TaintEngine:
         return result
 
     def _link_reference(self, target: str, source: str, scope: Scope) -> None:
-        """``$b =& $a``: both names denote one storage slot from now on.
+        """``$b =& $a``: ``$b`` leaves the slot it denoted and denotes
+        ``$a``'s from now on, with ``$a``'s must- and may-aliases.
 
-        The union of the two names' existing groups becomes a fresh
-        frozenset shared by every member, and :meth:`_assign_to` mirrors
-        each write across the group.  (By-ref *parameters* are handled
-        separately through ``ref_param_writes``.)"""
-        group = set(scope.ref_groups.get(target, (target,)))
-        group.update(scope.ref_groups.get(source, (source,)))
-        shared = frozenset(group)
+        :meth:`_assign_to` mirrors each write across the group.  (By-ref
+        *parameters* are handled separately through ``ref_param_writes``.)"""
+        if target == source:
+            return
+        groups = scope.ref_groups
+        may_refs = scope.may_refs
+        old = groups.pop(target, None)
+        if old is not None:
+            rest = old - {target}
+            for name in rest:
+                if len(rest) > 1:
+                    groups[name] = rest
+                else:
+                    del groups[name]
+        for name in may_refs.pop(target, ()):
+            left = may_refs[name] - {target}
+            if left:
+                may_refs[name] = left
+            else:
+                del may_refs[name]
+        shared = groups.get(source, frozenset((source,))) | {target}
         for name in shared:
-            scope.ref_groups[name] = shared
+            groups[name] = shared
+        reach = may_refs.get(source)
+        if reach:
+            may_refs[target] = reach
+            for name in reach:
+                may_refs[name] = may_refs[name] | {target}
 
     def _assign_to(
         self, target: Optional[ast.Expr], value: Value, scope: Scope, line: int
@@ -1552,6 +1626,27 @@ class TaintEngine:
                 for alias in group:
                     if alias != target.name:
                         scope.set(written.updated(name=alias))
+            reach = scope.may_refs.get(target.name)
+            if reach is not None:
+                # aliases on some paths only: a weak write — the member
+                # keeps its own value on the paths without the alias
+                written = scope.records[target.name]
+                for alias in reach:
+                    old = scope.records.get(alias)
+                    if old is None:
+                        scope.set(written.updated(name=alias))
+                        continue
+                    taint = old.taint.joined(written.taint)
+                    if taint is old.taint:
+                        continue  # interned: the write adds no taint
+                    class_name = join_class_names(
+                        (old.class_name or "", written.class_name or "")
+                    )
+                    scope.set(
+                        written.updated(
+                            name=alias, taint=taint, class_name=class_name or None
+                        )
+                    )
         elif isinstance(target, ast.ArrayAccess):
             base = target.array
             while isinstance(base, ast.ArrayAccess):
@@ -2035,6 +2130,89 @@ class TaintEngine:
                         via_oop=via_oop,
                     )
                 )
+
+
+#: statement handlers by exact node class; every concrete statement class
+#: subclasses ``ast.Statement`` directly, so an exact-type lookup is what
+#: an ``isinstance`` test per class would decide
+_STATEMENT_HANDLERS = {
+    ast.ExpressionStatement: TaintEngine._exec_expression,
+    ast.EchoStatement: TaintEngine._exec_echo,
+    ast.Block: TaintEngine._exec_nested,
+    ast.IfStatement: TaintEngine._exec_if,
+    ast.WhileStatement: TaintEngine._exec_while,
+    ast.DoWhileStatement: TaintEngine._exec_do_while,
+    ast.ForStatement: TaintEngine._exec_for,
+    ast.ForeachStatement: TaintEngine._exec_foreach,
+    ast.SwitchStatement: TaintEngine._exec_switch,
+    ast.ReturnStatement: TaintEngine._exec_return,
+    ast.GlobalStatement: TaintEngine._exec_global,
+    ast.StaticVarStatement: TaintEngine._exec_static_vars,
+    ast.UnsetStatement: TaintEngine._exec_unset,
+    ast.ThrowStatement: TaintEngine._exec_throw,
+    ast.TryStatement: TaintEngine._exec_try,
+    ast.NamespaceStatement: TaintEngine._exec_optional_body,
+    ast.DeclareStatement: TaintEngine._exec_optional_body,
+}
+
+#: statements the engine steps over: markup, parser-recovery holes
+#: (``ErrorStmt``), declarations the model stage already collected, and
+#: control transfers the syntax-directed walk does not track
+_NOOP_STATEMENTS = frozenset(
+    {
+        ast.InlineHTML,
+        ast.ErrorStmt,
+        ast.FunctionDecl,
+        ast.ClassDecl,
+        ast.BreakStatement,
+        ast.ContinueStatement,
+        ast.UseStatement,
+        ast.ConstStatement,
+        ast.GotoStatement,
+        ast.LabelStatement,
+    }
+)
+
+#: expression handlers by exact node class (see ``_STATEMENT_HANDLERS``)
+_EXPR_HANDLERS = {
+    ast.Variable: TaintEngine._eval_variable,
+    ast.VariableVariable: TaintEngine._eval_variable_variable,
+    ast.InterpolatedString: TaintEngine._eval_interpolated,
+    ast.ShellExec: TaintEngine._eval_shell_exec,
+    ast.ArrayLiteral: TaintEngine._eval_array_literal,
+    ast.ArrayAccess: TaintEngine._eval_array_access,
+    ast.PropertyAccess: TaintEngine._eval_property_access,
+    ast.StaticPropertyAccess: TaintEngine._eval_static_property,
+    ast.Assignment: TaintEngine._eval_assignment,
+    ast.Binary: TaintEngine._eval_binary,
+    ast.Unary: TaintEngine._eval_unary,
+    ast.Ternary: TaintEngine._eval_ternary,
+    ast.Cast: TaintEngine._eval_cast,
+    ast.IncDec: TaintEngine._eval_incdec,
+    ast.ListExpr: TaintEngine._eval_list,
+    ast.FunctionCall: TaintEngine._eval_function_call,
+    ast.MethodCall: TaintEngine._eval_method_call,
+    ast.StaticCall: TaintEngine._eval_static_call,
+    ast.New: TaintEngine._eval_new,
+    ast.Clone: TaintEngine._eval_clone,
+    ast.IncludeExpr: TaintEngine._eval_include,
+    ast.ExitExpr: TaintEngine._eval_exit,
+    ast.PrintExpr: TaintEngine._eval_print,
+}
+
+#: expressions whose value is clean without evaluating any operand:
+#: scalars, constants, type tests and closure values (bodies not entered)
+_CLEAN_EXPRESSIONS = frozenset(
+    {
+        ast.Literal,
+        ast.ClassConstAccess,
+        ast.ConstFetch,
+        ast.IssetExpr,
+        ast.EmptyExpr,
+        ast.InstanceofExpr,
+        ast.Closure,
+    }
+)
 
 
 def _literal_prefix(expr: Optional[ast.Expr]) -> str:

@@ -94,6 +94,62 @@ class TestLoops:
         assert not xss("<?php foreach (array(1, 2) as $v) { echo $v; }")
 
 
+class TestJoinKeepsAliasesAndStatics:
+    """A ``=&`` alias or ``static`` declaration made on one path of a
+    branch or loop holds after the join, as it does without the branch."""
+
+    def test_alias_made_in_branch(self):
+        assert xss("<?php if ($c) { $b =& $a; } $a = $_GET['x']; echo $b;")
+
+    def test_alias_made_in_foreach(self):
+        assert xss(
+            "<?php foreach ($rows as $r) { $b =& $a; } $a = $_GET['x']; echo $b;"
+        )
+
+    def test_clean_write_through_branch_alias_keeps_taint(self):
+        # the alias holds on one path only: on the other, $a keeps its
+        # tainted value, so the write through $b must not erase it
+        assert xss(
+            "<?php $a = $_GET['x']; if ($c) { $b =& $a; } $b = 'safe'; echo $a;"
+        )
+
+    def test_clean_write_through_loop_alias_keeps_taint(self):
+        assert xss(
+            "<?php $a = $_GET['x']; foreach ($rows as $r) { $b =& $a; }"
+            " $b = 'safe'; echo $a;"
+        )
+
+    def test_alias_groups_of_two_branches_stay_apart(self):
+        # $a~$b on one path, $b~$d on the other: no path aliases $a, $d
+        source = (
+            "<?php if ($c) { $b =& $a; } else { $d =& $b; }"
+            " $a = $_GET['x']; echo $d;"
+        )
+        assert not xss(source)
+        assert xss(source.replace("echo $d", "echo $b"))
+
+    def test_alias_on_every_path_stays_strong(self):
+        source = (
+            "<?php $a = $_GET['x']; if ($c) { $b =& $a; } else { $b =& $a; }"
+            " $b = 'safe'; echo $a;"
+        )
+        assert not xss(source)
+
+    def test_rebinding_leaves_the_old_slot(self):
+        # `$b =& $c` moves $b to $c's slot; $a keeps its own value
+        assert xss("<?php $a = $_GET['x']; $b =& $a; $b =& $c; $c = 'safe'; echo $a;")
+
+    def test_unaliased_names_stay_apart(self):
+        assert not xss("<?php if ($c) { $b =& $a; } $d = $_GET['x']; echo $b;")
+
+    def test_static_declared_in_branch(self):
+        body = "if ($c) { static $s; } echo $s; $s = $v;"
+        source = "<?php function f($v) { %s }\nf($_GET['a']); f('x');"
+        plain = xss(source % body.replace("if ($c) { static $s; }", "static $s;"))
+        assert plain and [f.line for f in plain] == [1]
+        assert [f.line for f in xss(source % body)] == [1]
+
+
 class TestIncludes:
     def test_include_inlines_target_file(self):
         from repro.core import PhpSafe
