@@ -56,10 +56,10 @@ def test_batch_scan_modes(benchmark, corpus_2012, tmp_path_factory, mode):
     print(
         f"\n{mode}: jobs={jobs} {telemetry.wall_seconds:.3f}s wall, "
         f"{telemetry.files_per_second:.0f} files/s, "
-        f"cache hit rate {telemetry.cache_hit_rate:.0%}"
+        f"cache hit rate {telemetry.cache_totals()['hit_rate']:.0%}"
     )
     if mode == "warm-cache":
-        assert telemetry.cache_hit_rate > 0.9
+        assert telemetry.cache_totals()["hit_rate"] > 0.9
 
 
 def test_batch_modes_agree():

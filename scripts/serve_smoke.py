@@ -6,7 +6,8 @@ Exercises the full out-of-process path CI cares about:
 1. start ``python -m repro serve`` as a subprocess,
 2. wait for ``/healthz``,
 3. submit a generated-corpus plugin over HTTP and poll it to ``done``,
-4. fetch the SARIF report and validate its 2.1.0 shape,
+4. fetch the SARIF report and validate its 2.1.0 shape, and check the
+   key sets of the job's ``/metrics`` row,
 5. load the queue with more submissions, SIGTERM the daemon mid-run,
    and prove the graceful sequence lost zero accepted jobs (every row
    in the sqlite spool is ``done`` or ``queued``, never ``running``).
@@ -33,6 +34,25 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.corpus.generator import build_corpus  # noqa: E402
 
 BASE_TIMEOUT = 120.0
+
+#: the sections of a ``/metrics`` row the benchmark reads
+ROW_CACHE_KEYS = {
+    "hits",
+    "misses",
+    "disk_hits",
+    "corrupt",
+    "summary_hits",
+    "summary_misses",
+    "summary_stale",
+}
+ROW_PERF_KEYS = {
+    "tokens_lexed",
+    "files_parsed",
+    "engine_steps",
+    "summaries_computed",
+    "taint_joins",
+}
+ROW_RESCAN_KEYS = {"roots_total", "roots_reused", "fallback"}
 
 
 def api(base, path, payload=None, method=None):
@@ -155,9 +175,14 @@ def main():
         check(status == 200, "metrics endpoint returns 200")
         check(
             metrics.get("schema") == "repro.batch.telemetry/v7",
-            "metrics on telemetry schema v6",
+            "metrics on telemetry schema v7",
         )
         check("service" in metrics and "queue" in metrics, "service + queue sections")
+        check(len(metrics.get("plugins", [])) == 1, "finished job has a telemetry row")
+        row = metrics["plugins"][0]
+        check(set(row["cache"]) == ROW_CACHE_KEYS, "row cache section keys")
+        check(ROW_PERF_KEYS <= set(row["perf"]), "row perf section keys")
+        check(set(row["rescan"]) == ROW_RESCAN_KEYS, "row rescan section keys")
 
         # load the queue, then SIGTERM mid-run: graceful drain must not
         # lose a single accepted job

@@ -24,6 +24,11 @@ instance) and share a persistent :class:`DiskModelCache` when a cache
 directory is configured, so repeated scans never re-parse unchanged
 files.  ``jobs=1`` runs the identical worker pipeline in-process — same
 findings, no pool overhead.
+
+Every plugin job, here and in the ``serve`` daemon's workers, runs
+through :func:`run_job`, which returns a :class:`JobResult`; a
+telemetry row is built from that result by
+:meth:`PluginScanStats.from_job`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import signal
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cache import ModelCache
@@ -42,14 +47,10 @@ from ..core.phpsafe import PhpSafe, PhpSafeOptions
 from ..core.results import FileFailure, ToolReport, finding_signatures
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..core.tool import AnalyzerTool
+from ..perf import scoped
 from ..plugin import Plugin
 from .diskcache import DiskModelCache
 from .telemetry import PluginScanStats, ScanTelemetry
-
-#: profile names ToolSpec can rebuild from options alone; named base
-#: profiles + rule packs are also rebuildable (workers re-resolve them
-#: from ``options.profile_name`` / ``options.rule_packs``)
-_REBUILDABLE_PHPSAFE_PROFILES = ("wordpress", "generic-php")
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,12 @@ class ToolSpec:
                 tool_cls = getattr(tool_cls, part)
             return tool_cls()  # type: ignore[operator]
         raise ValueError(f"unknown tool spec {self.name!r}")
+
+    @property
+    def tool_name(self) -> str:
+        """The report name of the tool this spec builds."""
+        names = {"phpsafe": "phpSAFE", "rips": "RIPS", "pixy": "Pixy"}
+        return names.get(self.name, self.name)
 
     @classmethod
     def from_tool(cls, tool: AnalyzerTool) -> Optional["ToolSpec"]:
@@ -122,14 +129,21 @@ class BatchOptions:
     timeout: Optional[float] = None
     #: persistent parse-cache directory (None = per-process memory cache)
     cache_dir: Optional[str] = None
-    #: memory-LRU bound of each worker's cache
-    max_entries: int = 4096
 
 
-# -- worker side (runs in the child processes) ------------------------------
+def build_tool(spec: ToolSpec, cache_dir: Optional[str]) -> AnalyzerTool:
+    """The analyzer a worker runs: a :class:`DiskModelCache` over
+    ``cache_dir`` when given, else a memory cache for phpSAFE (the
+    baselines have no cache)."""
+    cache: Optional[ModelCache] = None
+    if cache_dir:
+        cache = DiskModelCache(cache_dir)
+    elif spec.name == "phpsafe":
+        cache = ModelCache()
+    return spec.build(cache=cache)
 
-_worker_tool: Optional[AnalyzerTool] = None
-_worker_timeout: Optional[float] = None
+
+# -- the job runner ----------------------------------------------------------
 
 
 class _ScanDeadline(BaseException):
@@ -140,29 +154,6 @@ class _ScanDeadline(BaseException):
     the deadline must abort the whole plugin scan, not degrade to a
     recovered unit incident.
     """
-
-
-def _on_alarm(signum, frame):  # pragma: no cover - fires asynchronously
-    raise _ScanDeadline()
-
-
-def _init_worker(spec: ToolSpec, options: BatchOptions) -> None:
-    """Pool initializer: build the tool once per worker process."""
-    global _worker_tool, _worker_timeout
-    cache: Optional[ModelCache] = None
-    if options.cache_dir:
-        cache = DiskModelCache(options.cache_dir, max_entries=options.max_entries)
-    elif spec.name == "phpsafe":
-        cache = ModelCache(max_entries=options.max_entries)
-    _worker_tool = spec.build(cache=cache)
-    _worker_timeout = options.timeout
-    signal.signal(signal.SIGALRM, _on_alarm)
-
-
-#: worker return value: (report, seconds, outcome, cache-stat delta of
-#: (hits, misses, disk_hits, corrupt, summary_hits, summary_misses,
-#: summary_stale))
-_TaskResult = Tuple[ToolReport, float, str, Tuple[int, ...]]
 
 
 def _failure_report(tool_name: str, plugin_slug: str, reason: str) -> ToolReport:
@@ -182,117 +173,116 @@ def _failure_report(tool_name: str, plugin_slug: str, reason: str) -> ToolReport
     return report
 
 
-def _scan_one(payload: Tuple[str, str, Dict[str, str]]) -> _TaskResult:
-    """Analyze one plugin inside a worker, isolating failures."""
-    name, version, files = payload
-    plugin = Plugin(name=name, version=version, files=files)
-    tool = _worker_tool
-    assert tool is not None, "worker used before initialization"
+@dataclass
+class JobResult:
+    """What one plugin job hands back (see :func:`run_job`)."""
+
+    report: ToolReport
+    #: "ok" | "timeout" | "error" | "crashed"
+    outcome: str = "ok"
+    #: the job's share of the tool's cache counts, keyed as
+    #: :meth:`ModelCache.counts` (a fresh cache counts nothing)
+    cache: Dict[str, int] = field(default_factory=lambda: ModelCache().counts())
+    #: the new per-file digest manifest of an incremental job (None on
+    #: failure, for plain scans and for tools without a rescan path)
+    manifest: Optional[Dict[str, object]] = None
+    #: rescan stats (:meth:`RescanStats.to_dict`); empty for plain scans
+    rescan: Dict[str, object] = field(default_factory=dict)
+
+
+def run_job(
+    tool: AnalyzerTool,
+    plugin: Plugin,
+    manifest: Optional[Dict[str, object]] = None,
+    incremental: bool = False,
+) -> JobResult:
+    """Analyze one plugin, isolating failures.
+
+    ``incremental`` runs the tool's diff-aware :meth:`~PhpSafe.rescan`
+    against ``manifest`` (``None`` forces a full tracked scan that
+    still yields a manifest for the next submission); tools without a
+    rescan path, and every plain batch job, run ``analyze``.  An
+    exception or a fired deadline becomes a failure report.  The
+    report's ``perf`` is the tool's own when it set one, else the
+    counters measured around the call.
+    """
     cache = getattr(tool, "cache", None)
-    stats_before = _cache_stats(cache)
+    if cache is None:
+        cache = ModelCache()  # an uncached tool counts nothing
+    before = cache.counts()
     outcome = "ok"
+    new_manifest: Optional[Dict[str, object]] = None
+    rescan: Dict[str, object] = {}
     start = time.perf_counter()
-    if _worker_timeout:
-        signal.setitimer(signal.ITIMER_REAL, _worker_timeout)
-    try:
-        report = tool.analyze(plugin)
-    except _ScanDeadline:
-        outcome = "timeout"
-        report = _failure_report(
-            tool.name,
-            plugin.slug,
-            f"scan deadline of {_worker_timeout:g}s exceeded",
-        )
-    except Exception as error:
-        outcome = "error"
-        report = _failure_report(
-            tool.name, plugin.slug, f"worker exception: {error!r}"
-        )
-    finally:
-        if _worker_timeout:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+    with scoped() as scope:
+        try:
+            if incremental and hasattr(tool, "rescan"):
+                report, new_manifest, stats = tool.rescan(plugin, manifest)
+                rescan = stats.to_dict()
+            else:
+                report = tool.analyze(plugin)
+        except _ScanDeadline as deadline:
+            outcome = "timeout"
+            report = _failure_report(tool.name, plugin.slug, str(deadline))
+        except Exception as error:
+            outcome = "error"
+            report = _failure_report(
+                tool.name, plugin.slug, f"worker exception: {error!r}"
+            )
     report.seconds = time.perf_counter() - start
+    report.perf = report.perf or scope.report()
     # the reviewer variable dump is large and holds analysis-internal
     # objects; don't ship it over the result pickle channel
     report.variables = {}
-    stats_after = _cache_stats(cache)
-    delta = tuple(after - before for after, before in zip(stats_after, stats_before))
-    return report, report.seconds, outcome, delta
+    after = cache.counts()
+    delta = {key: after[key] - before[key] for key in after}
+    return JobResult(report, outcome, delta, new_manifest, rescan)
 
 
-#: rescan worker return value: ``_TaskResult`` plus the new per-file
-#: digest manifest and the rescan-stats dict
-_RescanResult = Tuple[
-    ToolReport, float, str, Tuple[int, ...], Optional[Dict[str, object]],
-    Dict[str, object],
-]
+# -- worker side (runs in the child processes) ------------------------------
+
+_worker_tool: Optional[AnalyzerTool] = None
+_worker_timeout: Optional[float] = None
 
 
-def _rescan_one(
-    payload: Tuple[str, str, Dict[str, str], Optional[Dict[str, object]]]
-) -> _RescanResult:
-    """Diff-aware variant of :func:`_scan_one` for the service workers.
+def _on_alarm(signum, frame):  # pragma: no cover - fires asynchronously
+    raise _ScanDeadline(f"scan deadline of {_worker_timeout:g}s exceeded")
 
-    Runs :meth:`PhpSafe.rescan` against the prior manifest (``None``
-    forces a full tracked scan that still produces a manifest for the
-    next submission); tools without a rescan path analyze normally and
-    return no manifest.
-    """
-    name, version, files, manifest = payload
+
+def _init_worker(spec: ToolSpec, options: BatchOptions) -> None:
+    """Pool initializer: build the tool once per worker process."""
+    global _worker_tool, _worker_timeout
+    _worker_tool = build_tool(spec, options.cache_dir)
+    _worker_timeout = options.timeout
+    signal.signal(signal.SIGALRM, _on_alarm)
+
+
+#: a job as it crosses the process boundary: plugin name, version and
+#: files, the prior manifest, and whether to rescan incrementally
+_Payload = Tuple[str, str, Dict[str, str], Optional[Dict[str, object]], bool]
+
+
+def _payload(
+    plugin: Plugin,
+    manifest: Optional[Dict[str, object]] = None,
+    incremental: bool = False,
+) -> _Payload:
+    return plugin.name, plugin.version, dict(plugin.files), manifest, incremental
+
+
+def _run_payload(payload: _Payload) -> JobResult:
+    """Process-pool entry point: :func:`run_job` under the SIGALRM
+    deadline, which interrupts a runaway plugin mid-analysis."""
+    name, version, files, manifest, incremental = payload
+    assert _worker_tool is not None, "worker used before initialization"
     plugin = Plugin(name=name, version=version, files=files)
-    tool = _worker_tool
-    assert tool is not None, "worker used before initialization"
-    cache = getattr(tool, "cache", None)
-    stats_before = _cache_stats(cache)
-    outcome = "ok"
-    new_manifest: Optional[Dict[str, object]] = None
-    rescan_stats: Dict[str, object] = {}
-    start = time.perf_counter()
     if _worker_timeout:
         signal.setitimer(signal.ITIMER_REAL, _worker_timeout)
     try:
-        if hasattr(tool, "rescan"):
-            report, new_manifest, stats = tool.rescan(plugin, manifest)
-            rescan_stats = stats.to_dict()
-        else:
-            report = tool.analyze(plugin)
-    except _ScanDeadline:
-        outcome = "timeout"
-        new_manifest = None
-        report = _failure_report(
-            tool.name,
-            plugin.slug,
-            f"scan deadline of {_worker_timeout:g}s exceeded",
-        )
-    except Exception as error:
-        outcome = "error"
-        new_manifest = None
-        report = _failure_report(
-            tool.name, plugin.slug, f"worker exception: {error!r}"
-        )
+        return run_job(_worker_tool, plugin, manifest, incremental)
     finally:
         if _worker_timeout:
             signal.setitimer(signal.ITIMER_REAL, 0)
-    report.seconds = time.perf_counter() - start
-    report.variables = {}
-    stats_after = _cache_stats(cache)
-    delta = tuple(after - before for after, before in zip(stats_after, stats_before))
-    return report, report.seconds, outcome, delta, new_manifest, rescan_stats
-
-
-def _cache_stats(cache: Optional[ModelCache]) -> Tuple[int, ...]:
-    """Current cache counters, parse tier then summary tier."""
-    if cache is None:
-        return (0,) * 7
-    return (
-        cache.stats.hits,
-        cache.stats.misses,
-        cache.stats.disk_hits,
-        cache.stats.corrupt,
-        cache.summary_stats.hits,
-        cache.summary_stats.misses,
-        cache.summary_stats.stale,
-    )
 
 
 # -- scheduler side ---------------------------------------------------------
@@ -338,51 +328,25 @@ class BatchScanner:
         else:
             results = self._scan_parallel(plugins, telemetry)
         telemetry.wall_seconds = time.perf_counter() - start
-        reports: List[ToolReport] = []
-        for plugin, (report, seconds, outcome, delta) in zip(plugins, results):
-            if outcome == "timeout":
-                telemetry.timeouts += 1
-            elif outcome in ("crashed", "error"):
-                telemetry.crashes += 1
-            telemetry.record(
-                PluginScanStats(
-                    plugin=plugin.slug,
-                    seconds=seconds,
-                    files=report.files_analyzed,
-                    loc=report.loc_analyzed,
-                    findings=len(report.findings),
-                    failures=len(report.failures),
-                    incidents=len(report.incidents),
-                    recovered=report.recovered_count,
-                    files_skipped=report.files_skipped,
-                    loc_skipped=report.loc_skipped,
-                    cache_hits=delta[0],
-                    cache_misses=delta[1],
-                    disk_hits=delta[2],
-                    cache_corrupt=delta[3],
-                    summary_hits=delta[4] if len(delta) > 4 else 0,
-                    summary_misses=delta[5] if len(delta) > 5 else 0,
-                    summary_stale=delta[6] if len(delta) > 6 else 0,
-                    perf=dict(report.perf),
-                    outcome=outcome,
-                )
-            )
-            reports.append(report)
-        return BatchResult(reports=reports, telemetry=telemetry)
+        for result in results:
+            telemetry.record(PluginScanStats.from_job(result))
+        return BatchResult(
+            reports=[result.report for result in results], telemetry=telemetry
+        )
 
     # -- serial path -------------------------------------------------------
 
-    def _scan_in_process(self, plugins: Sequence[Plugin]) -> List[_TaskResult]:
+    def _scan_in_process(self, plugins: Sequence[Plugin]) -> List[JobResult]:
         """``jobs=1``: the identical worker pipeline, no pool."""
         _init_worker(self.spec, self.options)
-        return [_scan_one(self._payload(plugin)) for plugin in plugins]
+        return [_run_payload(_payload(plugin)) for plugin in plugins]
 
     # -- parallel path -----------------------------------------------------
 
     def _scan_parallel(
         self, plugins: Sequence[Plugin], telemetry: ScanTelemetry
-    ) -> List[_TaskResult]:
-        results: Dict[int, _TaskResult] = {}
+    ) -> List[JobResult]:
+        results: Dict[int, JobResult] = {}
         unresolved = set(range(len(plugins)))
         pool_broken = False
         with ProcessPoolExecutor(
@@ -391,7 +355,7 @@ class BatchScanner:
             initargs=(self.spec, self.options),
         ) as executor:
             futures = {
-                executor.submit(_scan_one, self._payload(plugins[index])): index
+                executor.submit(_run_payload, _payload(plugins[index])): index
                 for index in sorted(unresolved)
             }
             for future in as_completed(futures):
@@ -403,8 +367,8 @@ class BatchScanner:
                     pool_broken = True
                     continue
                 except Exception as error:  # pragma: no cover - defensive
-                    results[index] = self._crash_result(
-                        plugins[index], f"scheduler error: {error!r}"
+                    results[index] = crash_result(
+                        self.spec, plugins[index], f"scheduler error: {error!r}"
                     )
                 unresolved.discard(index)
         if pool_broken:
@@ -416,7 +380,7 @@ class BatchScanner:
         self,
         plugins: Sequence[Plugin],
         indexes: Sequence[int],
-        results: Dict[int, _TaskResult],
+        results: Dict[int, JobResult],
         telemetry: ScanTelemetry,
     ) -> None:
         """Re-run each unresolved plugin in its own single-worker pool so
@@ -429,27 +393,20 @@ class BatchScanner:
             ) as solo:
                 try:
                     results[index] = solo.submit(
-                        _scan_one, self._payload(plugins[index])
+                        _run_payload, _payload(plugins[index])
                     ).result()
                 except (BrokenProcessPool, CancelledError):
                     telemetry.worker_restarts += 1
-                    results[index] = self._crash_result(
-                        plugins[index], "worker process died during analysis"
+                    results[index] = crash_result(
+                        self.spec, plugins[index], "worker process died during analysis"
                     )
 
-    # -- helpers -----------------------------------------------------------
 
-    @staticmethod
-    def _payload(plugin: Plugin) -> Tuple[str, str, Dict[str, str]]:
-        return plugin.name, plugin.version, dict(plugin.files)
-
-    def _tool_name(self) -> str:
-        names = {"phpsafe": "phpSAFE", "rips": "RIPS", "pixy": "Pixy"}
-        return names.get(self.spec.name, self.spec.name)
-
-    def _crash_result(self, plugin: Plugin, reason: str) -> _TaskResult:
-        report = _failure_report(self._tool_name(), plugin.slug, reason)
-        return report, 0.0, "crashed", (0,) * 7
+def crash_result(spec: ToolSpec, plugin: Plugin, reason: str) -> JobResult:
+    """The result of a job whose worker process died (or whose result
+    never came back): nothing was measured."""
+    report = _failure_report(spec.tool_name, plugin.slug, reason)
+    return JobResult(report=report, outcome="crashed")
 
 
 def scan_corpus(

@@ -100,7 +100,6 @@ def stream_scan(
     sink_path: str,
     options: Optional[PhpSafeOptions] = None,
     max_cache_bytes: int = DEFAULT_MAX_CACHE_BYTES,
-    max_cache_entries: int = 4096,
     cache: Optional[ModelCache] = None,
 ) -> StreamingSummary:
     """Scan ``plugins`` one at a time, streaming findings to
@@ -117,11 +116,8 @@ def stream_scan(
     if options is None:
         options = PhpSafeOptions()
     if cache is None:
-        cache = ModelCache(
-            max_entries=max_cache_entries, max_bytes=max_cache_bytes
-        )
+        cache = ModelCache(max_bytes=max_cache_bytes)
     tool = PhpSafe(options=options, cache=cache, use_process_cache=False)
-    variant = "recover" if options.recover else ""
 
     summary = StreamingSummary(sink_path=sink_path)
     started = time.perf_counter()
@@ -145,7 +141,7 @@ def stream_scan(
             )
             # eager spill: this plugin's file models are dead weight now
             summary.spilled_bytes += cache.spill(
-                content_key(path, source, variant)
+                content_key(path, source, options.recover)
                 for path, source in plugin.iter_files()
             )
     summary.seconds = time.perf_counter() - started

@@ -37,9 +37,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from ..core.cache import ModelCache
 from ..perf import merge as merge_perf
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
+    from .scheduler import JobResult
 
 SCHEMA = "repro.batch.telemetry/v7"
 
@@ -246,6 +250,11 @@ def aggregate_fleet(
     }
 
 
+def _hit_rate(hits: int, misses: int) -> float:
+    total = hits + misses
+    return round(hits / total, 4) if total else 0.0
+
+
 @dataclass
 class PluginScanStats:
     """Per-plugin telemetry row."""
@@ -263,16 +272,10 @@ class PluginScanStats:
     #: files/LOC the tool could not analyze (coverage denominator)
     files_skipped: int = 0
     loc_skipped: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    disk_hits: int = 0
-    #: corrupt disk-cache objects quarantined while scanning this plugin
-    cache_corrupt: int = 0
-    #: function-summary cache counters (separate tier from the parse
-    #: cache; see :class:`repro.core.cache.SummaryCacheStats`)
-    summary_hits: int = 0
-    summary_misses: int = 0
-    summary_stale: int = 0
+    #: the plugin's cache-count delta, keyed as
+    #: :meth:`repro.core.cache.ModelCache.counts` (parse tier, corrupt
+    #: disk objects quarantined, then the function-summary tier)
+    cache: Dict[str, int] = field(default_factory=lambda: ModelCache().counts())
     #: per-run perf counter delta (:data:`repro.perf.counters`)
     perf: Dict[str, float] = field(default_factory=dict)
     #: time the job waited queued before a worker claimed it (service
@@ -288,6 +291,32 @@ class PluginScanStats:
     #: why an attempted incremental rescan fell back to a full scan
     #: (empty: no fallback, or no rescan was attempted)
     rescan_fallback: str = ""
+
+    @classmethod
+    def from_job(
+        cls, result: "JobResult", queued_seconds: float = 0.0
+    ) -> "PluginScanStats":
+        """The row of one job of the batch scanner or the daemon."""
+        report = result.report
+        return cls(
+            plugin=report.plugin,
+            seconds=report.seconds,
+            files=report.files_analyzed,
+            loc=report.loc_analyzed,
+            findings=len(report.findings),
+            failures=len(report.failures),
+            incidents=len(report.incidents),
+            recovered=report.recovered_count,
+            files_skipped=report.files_skipped,
+            loc_skipped=report.loc_skipped,
+            cache=dict(result.cache),
+            perf=dict(report.perf),
+            queued_seconds=queued_seconds,
+            outcome=result.outcome,
+            rescan_roots_total=int(result.rescan.get("roots_total", 0)),
+            rescan_roots_reused=int(result.rescan.get("roots_reused", 0)),
+            rescan_fallback=str(result.rescan.get("fallback_reason", "")),
+        )
 
     @property
     def files_per_second(self) -> float:
@@ -306,15 +335,7 @@ class PluginScanStats:
             "files_skipped": self.files_skipped,
             "loc_skipped": self.loc_skipped,
             "files_per_second": round(self.files_per_second, 3),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "disk_hits": self.disk_hits,
-                "corrupt": self.cache_corrupt,
-                "summary_hits": self.summary_hits,
-                "summary_misses": self.summary_misses,
-                "summary_stale": self.summary_stale,
-            },
+            "cache": dict(self.cache),
             "perf": dict(self.perf),
             "queued_seconds": round(self.queued_seconds, 6),
             "outcome": self.outcome,
@@ -344,6 +365,10 @@ class ScanTelemetry:
 
     def record(self, stats: PluginScanStats) -> None:
         self.plugins.append(stats)
+        if stats.outcome == "timeout":
+            self.timeouts += 1
+        elif stats.outcome in ("crashed", "error"):
+            self.crashes += 1
 
     # -- aggregates --------------------------------------------------------
 
@@ -368,38 +393,26 @@ class ScanTelemetry:
     def files_per_second(self) -> float:
         return self.total_files / self.wall_seconds if self.wall_seconds else 0.0
 
-    @property
-    def cache_hits(self) -> int:
-        return sum(stats.cache_hits for stats in self.plugins)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(stats.cache_misses for stats in self.plugins)
-
-    @property
-    def disk_hits(self) -> int:
-        return sum(stats.disk_hits for stats in self.plugins)
-
-    @property
-    def cache_corrupt(self) -> int:
-        return sum(stats.cache_corrupt for stats in self.plugins)
-
-    @property
-    def summary_hits(self) -> int:
-        return sum(stats.summary_hits for stats in self.plugins)
-
-    @property
-    def summary_misses(self) -> int:
-        return sum(stats.summary_misses for stats in self.plugins)
-
-    @property
-    def summary_stale(self) -> int:
-        return sum(stats.summary_stale for stats in self.plugins)
-
-    @property
-    def summary_hit_rate(self) -> float:
-        total = self.summary_hits + self.summary_misses
-        return self.summary_hits / total if total else 0.0
+    def cache_totals(self) -> Dict[str, object]:
+        """The run's ``cache`` section: every row's cache counts summed,
+        plus the parse and summary tiers' hit rates."""
+        totals = ModelCache().counts()  # zeros, keyed as each row's counts
+        for stats in self.plugins:
+            for key, value in stats.cache.items():
+                totals[key] += value
+        return {
+            "hits": totals["hits"],
+            "misses": totals["misses"],
+            "disk_hits": totals["disk_hits"],
+            "hit_rate": _hit_rate(totals["hits"], totals["misses"]),
+            "corrupt": totals["corrupt"],
+            "summary_hits": totals["summary_hits"],
+            "summary_misses": totals["summary_misses"],
+            "summary_stale": totals["summary_stale"],
+            "summary_hit_rate": _hit_rate(
+                totals["summary_hits"], totals["summary_misses"]
+            ),
+        }
 
     def perf_totals(self) -> Dict[str, float]:
         """Perf counter deltas summed over every plugin of the run."""
@@ -419,11 +432,6 @@ class ScanTelemetry:
     @property
     def total_files_skipped(self) -> int:
         return sum(stats.files_skipped for stats in self.plugins)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     @property
     def rescan_roots_total(self) -> int:
@@ -460,17 +468,7 @@ class ScanTelemetry:
             "findings": self.total_findings,
             "files_per_second": round(self.files_per_second, 3),
             "files_skipped": self.total_files_skipped,
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "disk_hits": self.disk_hits,
-                "hit_rate": round(self.cache_hit_rate, 4),
-                "corrupt": self.cache_corrupt,
-                "summary_hits": self.summary_hits,
-                "summary_misses": self.summary_misses,
-                "summary_stale": self.summary_stale,
-                "summary_hit_rate": round(self.summary_hit_rate, 4),
-            },
+            "cache": self.cache_totals(),
             "perf": self.perf_totals(),
             "rescan": {
                 "roots_total": self.rescan_roots_total,

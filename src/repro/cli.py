@@ -347,12 +347,13 @@ def _scan_batch(args: argparse.Namespace, tool, targets) -> int:
         if args.show_incidents:
             _print_incidents(report, indent="    ")
         total_failed += len(report.failed_files)
+    cache = telemetry.cache_totals()
     print(
         f"{telemetry.total_findings} finding(s), {total_failed} failed file(s), "
-        f"cache hit rate {telemetry.cache_hit_rate:.0%}, "
-        f"summary cache {telemetry.summary_hits}/"
-        f"{telemetry.summary_hits + telemetry.summary_misses} hit(s)"
-        f" ({telemetry.summary_stale} stale), "
+        f"cache hit rate {cache['hit_rate']:.0%}, "
+        f"summary cache {cache['summary_hits']}/"
+        f"{cache['summary_hits'] + cache['summary_misses']} hit(s)"
+        f" ({cache['summary_stale']} stale), "
         f"incidents: {telemetry.total_incidents} recorded"
         f" ({telemetry.total_recovered} recovered) / {telemetry.timeouts} timeout(s)"
         f" / {telemetry.crashes} crash(es)"

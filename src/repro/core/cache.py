@@ -86,18 +86,19 @@ def approx_slot_bytes(slot: "_Slot") -> int:
 FRONTEND_FORMAT = "fe2"
 
 
-def content_key(path: str, source: str, variant: str = "") -> str:
-    """Cache key: path + front-end format + content digest (path
-    matters for includes).
+def content_key(path: str, source: str, recover: bool = False) -> str:
+    """Parse-cache key: path + parse mode + front-end format + content
+    digest (path matters for includes).
 
-    ``variant`` distinguishes parse modes sharing one cache: a file
-    parsed with panic-mode recovery produces a different model (partial
-    AST + incidents) than a strict parse, so the two must not share a
-    slot.
+    A file parsed with panic-mode recovery (``recover``) produces a
+    different model (partial AST + incidents) than a strict parse, so
+    the two modes never share a slot.  Every parse-cache key is made
+    here: ``PluginModel.build``'s lookups and the streaming scanner's
+    spills name the same slot.
     """
     digest = hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
-    if variant:
-        return f"{path}:{variant}:{FRONTEND_FORMAT}:{digest}"
+    if recover:
+        return f"{path}:recover:{FRONTEND_FORMAT}:{digest}"
     return f"{path}:{FRONTEND_FORMAT}:{digest}"
 
 
@@ -182,10 +183,10 @@ class ModelCache:
     _total_bytes: int = field(default=0, repr=False)
 
     def lookup(
-        self, path: str, source: str, variant: str = ""
+        self, path: str, source: str, recover: bool = False
     ) -> Tuple[object, Optional[PhpSyntaxError]]:
         """Return ``(file model or None, cached failure or None)``."""
-        slot = self._load(content_key(path, source, variant))
+        slot = self._load(content_key(path, source, recover))
         if slot is None:
             self.stats.misses += 1
             return None, None
@@ -193,14 +194,28 @@ class ModelCache:
         return slot
 
     def store(
-        self, path: str, source: str, file_model: object, variant: str = ""
+        self, path: str, source: str, file_model: object, recover: bool = False
     ) -> None:
-        self._insert(content_key(path, source, variant), (file_model, None))
+        self._insert(content_key(path, source, recover), (file_model, None))
 
     def store_failure(
-        self, path: str, source: str, error: PhpSyntaxError, variant: str = ""
+        self, path: str, source: str, error: PhpSyntaxError, recover: bool = False
     ) -> None:
-        self._insert(content_key(path, source, variant), (None, error))
+        self._insert(content_key(path, source, recover), (None, error))
+
+    def counts(self) -> Dict[str, int]:
+        """The counters a telemetry row reports under ``cache``, parse
+        tier then summary tier.  A job's share is the key-wise
+        difference of two calls."""
+        return {
+            "hits": self.stats.hits,
+            "misses": self.stats.misses,
+            "disk_hits": self.stats.disk_hits,
+            "corrupt": self.stats.corrupt,
+            "summary_hits": self.summary_stats.hits,
+            "summary_misses": self.summary_stats.misses,
+            "summary_stale": self.summary_stats.stale,
+        }
 
     # -- function-summary tier ---------------------------------------------
     #

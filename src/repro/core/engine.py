@@ -1205,7 +1205,7 @@ class TaintEngine:
         outcomes: List[Scope] = []
         for branch in branches:
             snapshot = scope.copy()
-            self._exec_block(branch, snapshot)
+            self._exec_block_in(branch, snapshot, scope)
             outcomes.append(snapshot)
         if not exhaustive:
             outcomes.append(scope.copy())
@@ -1226,10 +1226,27 @@ class TaintEngine:
         scope.written = set()  # pre-state writes while the body runs
         snapshot = scope.copy()
         for _pass in range(2):
-            self._exec_block(body, snapshot)
+            self._exec_block_in(body, snapshot, scope)
         scope.join_from(snapshot)
         written_before |= scope.written
         scope.written = written_before
+
+    def _exec_block_in(
+        self, body: Sequence[ast.Statement], snapshot: Scope, scope: Scope
+    ) -> None:
+        """Run ``body`` on ``snapshot``, a path copy of ``scope``.  A copy
+        of the global scope stands in for it while the path runs, so a
+        function called on the path writes its ``global`` names into
+        the path's state (which the join then sees) and a top-level read
+        there is still a global read (``register_globals``)."""
+        if scope is not self.globals:
+            self._exec_block(body, snapshot)
+            return
+        self.globals = snapshot
+        try:
+            self._exec_block(body, snapshot)
+        finally:
+            self.globals = scope
 
     def _exec_foreach(self, node: ast.ForeachStatement, scope: Scope) -> None:
         subject = self._eval(node.subject, scope)

@@ -21,7 +21,9 @@ and the finalized findings its events produced.  That record set — the
    compute position.  Any violation falls back to a full tracked scan,
    so incremental mode can degrade in speed but never in correctness.
 
-Findings round-trip through the manifest losslessly, and merging
+Findings round-trip through the manifest losslessly
+(:func:`~repro.core.results.finding_to_dict`; a dropped field would
+perturb the min-merge's canonical winner), and merging
 carried with live findings uses the engine's canonical min-merge
 (:meth:`TaintEngine.dedupe_findings`), which is order-independent —
 the combined result is bit-identical to one cold pass.
@@ -33,10 +35,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
-from ..config.vulnerability import InputVector, VulnKind
 from .engine import TaintEngine, UnitFootprint
 from .model import PluginModel
-from .results import Finding
+from .results import Finding, finding_from_dict, finding_to_dict
 from ..plugin import Plugin
 
 #: schema tag of the persisted manifest document
@@ -53,41 +54,6 @@ def plugin_file_digests(plugin: Plugin) -> Dict[str, str]:
         path: hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
         for path, source in plugin.files.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Finding (de)serialization — must be lossless: carried findings are
-# min-merged with live ones, so any dropped field would perturb the
-# canonical winner.
-# ---------------------------------------------------------------------------
-
-
-def finding_to_dict(finding: Finding) -> Dict[str, object]:
-    return {
-        "kind": finding.kind.value,
-        "file": finding.file,
-        "line": finding.line,
-        "sink": finding.sink,
-        "variable": finding.variable,
-        "vectors": [vector.value for vector in finding.vectors],
-        "trace": list(finding.trace),
-        "via_oop": finding.via_oop,
-        "markup_context": finding.markup_context,
-    }
-
-
-def finding_from_dict(raw: Dict[str, object]) -> Finding:
-    return Finding(
-        kind=VulnKind(raw["kind"]),
-        file=str(raw["file"]),
-        line=int(raw["line"]),  # type: ignore[arg-type]
-        sink=str(raw["sink"]),
-        variable=str(raw.get("variable", "")),
-        vectors=tuple(InputVector(v) for v in raw.get("vectors", ())),  # type: ignore[union-attr]
-        trace=tuple(raw.get("trace", ())),  # type: ignore[arg-type]
-        via_oop=bool(raw.get("via_oop", False)),
-        markup_context=str(raw.get("markup_context", "")),
-    )
 
 
 def _footprint_to_dict(footprint: UnitFootprint) -> Dict[str, object]:

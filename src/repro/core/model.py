@@ -71,6 +71,9 @@ class FileModel:
     source: str
     tree: ast.PhpFile
     loc: int
+    #: single-pass node index (:func:`repro.php.ast_nodes.index_file`);
+    #: cached with the model so cache hits skip the tree traversal
+    index: ast.FileIndex
     includes: List[str] = field(default_factory=list)
     #: recovered lex/parse incidents from panic-mode recovery; kept on
     #: the file model so cache hits replay them into the plugin model
@@ -78,10 +81,6 @@ class FileModel:
     #: sha256 of ``source`` — the identity the incremental summary cache
     #: validates function-summary dependencies against
     digest: str = ""
-    #: single-pass node index (:func:`repro.php.ast_nodes.index_file`);
-    #: cached with the model so cache hits skip the tree traversal.
-    #: ``None`` on models unpickled from older stores — recomputed lazily.
-    index: Optional[ast.FileIndex] = None
 
 
 class PluginModel:
@@ -127,19 +126,15 @@ class PluginModel:
         no file model keeps it.
         """
         model = cls(plugin)
-        variant = "recover" if recover else ""
         for path, source in plugin.iter_files():
-            digest = hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
             if cache is not None:
-                cached, cached_error = cache.lookup(path, source, variant)
+                cached, cached_error = cache.lookup(path, source, recover)
                 if cached_error is not None:
                     model._record_parse_failure(path, source, cached_error)
                     continue
                 if cached is not None:
-                    if not getattr(cached, "digest", ""):
-                        cached.digest = digest  # entry from a pre-digest store
                     model.files[path] = cached  # type: ignore[assignment]
-                    model.incidents.extend(getattr(cached, "incidents", []))
+                    model.incidents.extend(cached.incidents)  # type: ignore[attr-defined]
                     continue
             try:
                 lexer = Lexer(source, path, recover=recover, significant=True)
@@ -153,7 +148,7 @@ class PluginModel:
             except PhpSyntaxError as error:
                 model._record_parse_failure(path, source, error)
                 if cache is not None:
-                    cache.store_failure(path, source, error, variant)
+                    cache.store_failure(path, source, error, recover)
                 continue
             except Exception as error:  # includes RecursionError
                 if not recover:
@@ -165,7 +160,7 @@ class PluginModel:
                 )
                 model._record_parse_failure(path, source, wrapped)
                 if cache is not None:
-                    cache.store_failure(path, source, wrapped, variant)
+                    cache.store_failure(path, source, wrapped, recover)
                 continue
             index = ast.index_file(tree)
             file_model = FileModel(
@@ -173,15 +168,15 @@ class PluginModel:
                 source=source,
                 tree=tree,
                 loc=count_loc(source),
+                index=index,
                 includes=_collect_includes(index),
                 incidents=file_incidents,
-                digest=digest,
-                index=index,
+                digest=hashlib.sha256(source.encode("utf-8", "replace")).hexdigest(),
             )
             model.files[path] = file_model
             model.incidents.extend(file_incidents)
             if cache is not None:
-                cache.store(path, source, file_model, variant)
+                cache.store(path, source, file_model, recover)
         model._check_include_budgets(include_budget)
         model._collect_definitions()
         return model
@@ -247,9 +242,7 @@ class PluginModel:
         index (built in one traversal at parse time and cached with the
         file model, so cache hits skip the tree walk entirely)."""
         for path, file_model in self.files.items():
-            index = getattr(file_model, "index", None)
-            if index is None:  # model unpickled from a pre-index store
-                index = file_model.index = ast.index_file(file_model.tree)
+            index = file_model.index
             self.called_names.update(index.called_names)
             self.called_methods.update(index.called_methods)
             for node in index.functions:

@@ -26,8 +26,11 @@ Two isolation levels:
     the engine's per-unit ``file_deadline`` and a hard crash would take
     the daemon down, which is why it is not the default.
 
-Per-job perf attribution uses :func:`repro.perf.scoped`, which is
-race-free under concurrent workers because the counters are
+Both levels run a job through the batch scheduler's
+:func:`~repro.batch.scheduler.run_job` and record its telemetry row
+with :meth:`~repro.batch.telemetry.PluginScanStats.from_job`, exactly
+as a batch scan does.  The runner's per-job perf scope is race-free
+under concurrent dispatcher threads because the counters are
 thread-local.
 """
 
@@ -39,20 +42,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..batch.scheduler import (
     BatchOptions,
+    JobResult,
     ToolSpec,
-    _cache_stats,
-    _failure_report,
     _init_worker,
-    _rescan_one,
+    _payload,
+    _run_payload,
+    build_tool,
+    crash_result,
+    run_job,
 )
 from ..batch.telemetry import PluginScanStats, ScanTelemetry, ServiceStats
 from ..core.results import ToolReport
 from ..core.review import to_json
-from ..perf import scoped
 from ..plugin import Plugin
 from .queue import Job, JobQueue
 from .sarif import to_sarif
@@ -199,152 +204,57 @@ class WorkerPool:
         manifest = self.store.latest_manifest(
             plugin.name, job.fingerprint, exclude_digest=job.digest
         )
-        with scoped() as scope:
-            report, outcome, delta, new_manifest, rescan = self._scan(
-                plugin, state, manifest
-            )
-        document = result_document(job, report, outcome, rescan)
+        result = self._scan(plugin, state, manifest)
+        document = result_document(job, result.report, result.outcome, result.rescan)
         self.store.put_result(job.digest, job.fingerprint, document)
-        if outcome == "ok":
-            if new_manifest is not None:
-                self.store.put_manifest(job.digest, job.fingerprint, new_manifest)
-            self.store.record_lineage(plugin.name, job.digest)
-            self.queue.complete(job.id)
-        else:
-            self.queue.fail(job.id, f"analysis {outcome}")
-        finished = self.queue.get(job.id) or job
-        self._record(finished, report, outcome, delta, scope.report(), rescan)
-
-    def _record(
-        self,
-        job: Job,
-        report: ToolReport,
-        outcome: str,
-        delta: Tuple[int, ...],
-        scope_perf: Dict[str, float],
-        rescan: Optional[Dict[str, object]] = None,
-    ) -> None:
-        # process-isolated reports carry their own perf delta (computed
-        # inside the worker process); the dispatcher-side scope supplies
-        # it otherwise, race-free because counters are thread-local
-        perf = dict(report.perf) if report.perf else scope_perf
-        stats_row = PluginScanStats(
-            plugin=report.plugin,
-            seconds=report.seconds,
-            files=report.files_analyzed,
-            loc=report.loc_analyzed,
-            findings=len(report.findings),
-            failures=len(report.failures),
-            incidents=len(report.incidents),
-            recovered=report.recovered_count,
-            files_skipped=report.files_skipped,
-            loc_skipped=report.loc_skipped,
-            cache_hits=delta[0],
-            cache_misses=delta[1],
-            disk_hits=delta[2],
-            cache_corrupt=delta[3],
-            summary_hits=delta[4] if len(delta) > 4 else 0,
-            summary_misses=delta[5] if len(delta) > 5 else 0,
-            summary_stale=delta[6] if len(delta) > 6 else 0,
-            perf=perf,
-            queued_seconds=job.queued_seconds,
-            outcome=outcome,
-            rescan_roots_total=int((rescan or {}).get("roots_total", 0)),
-            rescan_roots_reused=int((rescan or {}).get("roots_reused", 0)),
-            rescan_fallback=str((rescan or {}).get("fallback_reason", "")),
-        )
+        if result.outcome == "ok" and result.manifest is not None:
+            self.store.put_manifest(job.digest, job.fingerprint, result.manifest)
+        # count the job before publishing its state, so a client that
+        # sees it finished also sees it in ``GET /metrics``
+        row = PluginScanStats.from_job(result, queued_seconds=job.queued_seconds)
         with self._lock:
-            self.telemetry.record(stats_row)
+            self.telemetry.record(row)
             self.stats.queue_wait_seconds += job.queued_seconds
             self.stats.waits_recorded += 1
-            if outcome == "ok":
+            if result.outcome == "ok":
                 self.stats.completed += 1
             else:
                 self.stats.failed += 1
-            if outcome == "timeout":
-                self.telemetry.timeouts += 1
-            elif outcome in ("crashed", "error"):
-                self.telemetry.crashes += 1
+        if result.outcome == "ok":
+            self.store.record_lineage(plugin.name, job.digest)
+            self.queue.complete(job.id)
+        else:
+            self.queue.fail(job.id, f"analysis {result.outcome}")
 
     # -- the scan itself ---------------------------------------------------
-
-    #: scan return value: report, outcome, cache delta, the new per-file
-    #: digest manifest (None on failure or manifest-less tools), and the
-    #: rescan-stats dict
-    _ScanResult = Tuple[
-        ToolReport, str, Tuple[int, ...], Optional[Dict[str, object]],
-        Dict[str, object],
-    ]
 
     def _scan(
         self,
         plugin: Plugin,
         state: _WorkerState,
         manifest: Optional[Dict[str, object]] = None,
-    ) -> "_ScanResult":
-        if self.isolation == "process":
-            return self._scan_process(plugin, state, manifest)
-        return self._scan_thread(plugin, state, manifest)
-
-    def _scan_process(
-        self,
-        plugin: Plugin,
-        state: _WorkerState,
-        manifest: Optional[Dict[str, object]] = None,
-    ) -> "_ScanResult":
+    ) -> JobResult:
+        if self.isolation == "thread":
+            if state.tool is None:
+                state.tool = self._build_thread_tool()
+            return run_job(state.tool, plugin, manifest, incremental=True)
         if state.executor is None:
             state.executor = ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_init_worker,
                 initargs=(self.spec, self._batch_options),
             )
-        payload = (plugin.name, plugin.version, dict(plugin.files), manifest)
+        payload = _payload(plugin, manifest, incremental=True)
         try:
-            report, _seconds, outcome, delta, new_manifest, rescan = (
-                state.executor.submit(_rescan_one, payload).result()
-            )
-            return report, outcome, delta, new_manifest, rescan
+            return state.executor.submit(_run_payload, payload).result()
         except BrokenProcessPool:
             state.executor.shutdown(wait=False)
             state.executor = None
             with self._lock:
                 self.telemetry.worker_restarts += 1
-            report = _failure_report(
-                self.spec.name, plugin.slug, "worker process died during analysis"
+            return crash_result(
+                self.spec, plugin, "worker process died during analysis"
             )
-            return report, "crashed", (0,) * 7, None, {}
-
-    def _scan_thread(
-        self,
-        plugin: Plugin,
-        state: _WorkerState,
-        manifest: Optional[Dict[str, object]] = None,
-    ) -> "_ScanResult":
-        if state.tool is None:
-            state.tool = self._build_thread_tool()
-        cache = getattr(state.tool, "cache", None)
-        before = _cache_stats(cache)
-        new_manifest: Optional[Dict[str, object]] = None
-        rescan: Dict[str, object] = {}
-        start = time.perf_counter()
-        try:
-            if hasattr(state.tool, "rescan"):
-                report, new_manifest, stats = state.tool.rescan(plugin, manifest)
-                rescan = stats.to_dict()
-            else:
-                report = state.tool.analyze(plugin)
-            outcome = "ok"
-        except Exception as error:
-            report = _failure_report(
-                self.spec.name, plugin.slug, f"worker exception: {error!r}"
-            )
-            outcome = "error"
-            new_manifest = None
-        report.seconds = time.perf_counter() - start
-        report.variables = {}
-        after = _cache_stats(cache)
-        delta = tuple(b - a for a, b in zip(before, after))
-        return report, outcome, delta, new_manifest, rescan
 
     def _build_thread_tool(self):
         spec = self.spec
@@ -357,15 +267,6 @@ class WorkerPool:
             if options.file_deadline is None or options.file_deadline > self.timeout:
                 options = replace(options, file_deadline=self.timeout)
             spec = ToolSpec(name=spec.name, options=options)
-        cache = None
-        if self.cache_dir:
-            from ..batch.diskcache import DiskModelCache
-
-            # per-thread instance: the memory LRU is not thread-safe,
-            # but the content-addressed disk tier is shared by design
-            cache = DiskModelCache(self.cache_dir)
-        elif spec.name == "phpsafe":
-            from ..core.cache import ModelCache
-
-            cache = ModelCache()
-        return spec.build(cache=cache)
+        # per-thread instance: the memory LRU is not thread-safe, but
+        # the content-addressed disk tier is shared by design
+        return build_tool(spec, self.cache_dir)

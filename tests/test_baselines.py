@@ -94,6 +94,11 @@ class TestPixyCapabilities:
         assert found
         assert not xss("<?php echo $uninitialized_skin;", PhpSafe())
 
+    def test_register_globals_source_inside_branch_and_loop(self):
+        # a top-level branch or loop body still reads the global scope
+        assert xss("<?php if ($c) { echo $skin; }", PixyLike())
+        assert xss("<?php foreach ($rows as $r) { echo $skin; }", PixyLike())
+
     def test_initialized_variable_not_flagged(self):
         assert not xss("<?php $skin = 'blue'; echo $skin;", PixyLike())
 

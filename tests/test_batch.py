@@ -143,8 +143,9 @@ class TestPersistentCache:
         plugins = small_plugins()
         cold = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
         warm = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
-        assert warm.telemetry.cache_hit_rate > 0.9
-        assert warm.telemetry.cache_hits >= 4
+        cache = warm.telemetry.cache_totals()
+        assert cache["hit_rate"] > 0.9
+        assert cache["hits"] >= 4
         assert finding_keys(cold.reports) == finding_keys(warm.reports)
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
@@ -152,7 +153,7 @@ class TestPersistentCache:
         plugins = small_plugins()
         scan_corpus(plugins, jobs=1, cache_dir=cache_dir)
         warm = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
-        assert warm.telemetry.cache_hit_rate > 0.9
+        assert warm.telemetry.cache_totals()["hit_rate"] > 0.9
 
 
 class TestTelemetry:

@@ -213,6 +213,20 @@ class TestGlobals:
         )
         assert xss(source)
 
+    # a function called on a top-level path writes its `global` names
+    # into that path's state, whichever branch it sits in
+    SET_X = "function f() { global $x; $x = $_GET['a']; } "
+
+    def test_global_written_in_last_branch_survives_join(self):
+        source = "<?php " + self.SET_X + "if ($c) { $y = 1; } else { f(); } echo $x;"
+        assert xss(source)
+
+    def test_global_written_in_branch_read_in_same_branch(self):
+        assert xss("<?php " + self.SET_X + "if ($c) { f(); echo $x; }")
+
+    def test_global_written_in_loop_read_in_loop(self):
+        assert xss("<?php " + self.SET_X + "foreach ($rows as $r) { f(); echo $x; }")
+
     def test_local_does_not_leak_to_global(self):
         source = (
             "<?php function f() { $loc = $_GET['x']; } f(); echo $loc;"

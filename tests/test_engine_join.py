@@ -49,6 +49,9 @@ class Interpreter:
         self.root = root
         self.engine = TaintEngine.__new__(TaintEngine)  # only the join methods run
         self.engine._exec_block = self.run
+        # no scope of these programs is the engine's global scope: a
+        # "root" op writes the pre-state while the branches run
+        self.engine.globals = None
 
     def run(self, program, scope: Scope) -> None:
         for op in program:
